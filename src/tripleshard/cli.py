@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -21,6 +22,7 @@ from .metrics import StageTimer
 from .partition import grow_fragments, top_subjects
 from .plan import PartitionPlan, build_plan
 from .query import (
+    DEFAULT_WORKLOAD_COUNTS,
     generate_workload,
     inc_report,
     inc_report_csv,
@@ -30,8 +32,6 @@ from .query import (
 )
 from .replicate import centrality_csv, compute_centrality, derive_threshold, replicate
 from .store import CsvMapping, TripleStore, ingest_csv, parse_ntriples, serialize_ntriples
-
-DEFAULT_WORKLOAD_COUNTS = (3, 4, 3, 2)
 
 
 @dataclass
@@ -193,7 +193,7 @@ def _report_text(config: PipelineConfig, outcome: PipelineOutcome) -> str:
     lines.append("")
     lines.append("node loads (id, fragments, triples)")
     for node_id, fids in enumerate(outcome.plan.node_fragments):
-        lines.append(f"  {node_id:>3}  {fids!r:<16} {loads[node_id]}")
+        lines.append(f"  {node_id:>3}  {list(fids)!r:<16} {loads[node_id]}")
     lines.append(f"load spread (max - min): {max(loads) - min(loads)}")
     lines.append("")
     source = "derived" if outcome.threshold_derived else "override"
@@ -270,9 +270,11 @@ def run_scaling(
 ) -> list[dict]:
     """Run the pipeline at each scale multiple of the observation volume.
 
-    Only generated data can be scaled. With ``repeats`` above one, each scale
-    re-runs and keeps the fastest time per stage to damp scheduler noise; the
-    non-timing outputs are identical across repeats by determinism.
+    Only generated data can be scaled. With ``repeats`` above one, the scales
+    run in that many rounds and each reports its median time per stage.
+    Taking the scales in turn exposes all of them alike to a slow or fast
+    spell of the machine, and the median ignores a lone outlier either way.
+    The non-timing outputs are identical across repeats by determinism.
     """
     if config.input_path is not None:
         raise ValueError("scaling runs require generated data, not an input file")
@@ -281,31 +283,28 @@ def run_scaling(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
 
-    rows = []
-    for scale in scales:
-        scaled = replace(
-            config,
-            observations_per_sensor=config.observations_per_sensor * scale,
-        )
-        best_ms: dict[str, float] = {}
-        outcome = None
-        for _ in range(repeats):
+    rows: list[dict] = []
+    samples: list[dict[str, list[float]]] = [{} for _ in scales]
+    for round_index in range(repeats):
+        for i, scale in enumerate(scales):
+            scaled = replace(
+                config,
+                observations_per_sensor=config.observations_per_sensor * scale,
+            )
             outcome = execute_pipeline(scaled)
             for name, ms in outcome.timer.stages_ms.items():
-                if name not in best_ms or ms < best_ms[name]:
-                    best_ms[name] = ms
-        rows.append(
-            {
-                "scale": scale,
-                "n": outcome.store.n,
-                "ingest_ms": best_ms["ingest"],
-                "partition_ms": best_ms["partition"],
-                "distribute_ms": best_ms["distribute"],
-                "evaluate_ms": best_ms["evaluate"],
-                "replicatedTriples": len(outcome.decision.replicated_positions),
-                "fractionLocal": outcome.report.fraction_local,
-            }
-        )
+                samples[i].setdefault(f"{name}_ms", []).append(ms)
+            if round_index == 0:
+                rows.append(
+                    {
+                        "scale": scale,
+                        "n": outcome.store.n,
+                        "replicatedTriples": len(outcome.decision.replicated_positions),
+                        "fractionLocal": outcome.report.fraction_local,
+                    }
+                )
+    for row, times in zip(rows, samples):
+        row.update({key: statistics.median(values) for key, values in times.items()})
     return rows
 
 

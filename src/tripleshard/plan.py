@@ -1,159 +1,149 @@
-"""Deployment plan: fragments, their node placement, and per-node replicas.
+"""Deployment plan: fragments, their node placement, and the replicated set.
 
 A plan is the durable artifact of the pipeline. Triple references are
 positions into the canonical serialized triple file written alongside the
 plan, so a plan plus that file fully describes the cluster layout.
+
+A plan stores each fact once and derives the rest (owners, per-node owned and
+replica positions, loads) when built; it cannot change afterwards. So each
+triple sits in one fragment, each fragment on one node, and no node
+replicates what it owns.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
+from itertools import cycle, islice
 
 from .allocate import AllocationPlan
 from .partition import PartitionResult
 from .store import TripleStore
+
+PLAN_FORMAT_VERSION = 2
+
+# the stored facts, in constructor order; also the keys of the plan file
+_FIELDS = ("fragment_masters", "fragment_of", "node_of_fragment", "m", "replicated")
 
 
 class PlanError(ValueError):
     """A plan that violates its structural guarantees."""
 
 
-@dataclass
+def _check(facts: dict) -> None:
+    """Raise PlanError naming the first stored fact that is malformed."""
+    for name in ("fragment_masters", "fragment_of", "node_of_fragment", "replicated"):
+        if not isinstance(facts[name], (list, tuple)):
+            raise PlanError(f"{name} must be a list, got {type(facts[name]).__name__}")
+    m, k, replicated = facts["m"], len(facts["fragment_masters"]), facts["replicated"]
+    if type(m) is not int or m < 1:
+        raise PlanError(f"m must be a positive integer, got {m!r}")
+    if set(map(type, facts["fragment_masters"])) - {str}:
+        raise PlanError("fragment_masters must hold strings")
+    if len(facts["node_of_fragment"]) != k:
+        raise PlanError(f"node_of_fragment must have one entry per fragment ({k})")
+    for name, bound in (("fragment_of", k), ("node_of_fragment", m),
+                        ("replicated", len(facts["fragment_of"]))):
+        values = facts[name]  # ints only: bool and float are rejected too
+        if values and (set(map(type, values)) != {int} or min(values) < 0 or max(values) >= bound):
+            raise PlanError(f"{name} must hold integers in 0..{bound - 1}")
+    if not all(map(operator.lt, replicated, replicated[1:])):
+        raise PlanError("replicated must be strictly increasing")
+
+
+@dataclass(frozen=True)
 class PartitionPlan:
-    k: int
+    fragment_masters: tuple[str, ...]  # master subject per fragment (length k)
+    fragment_of: tuple[int, ...]  # fragment per position (length n)
+    node_of_fragment: tuple[int, ...]  # node per fragment (length k)
     m: int
-    fragment_masters: list[str]
-    fragment_positions: list[list[int]]  # sorted positions per fragment
-    node_fragments: list[list[int]]  # fragment ids per node
-    replicas: list[list[int]]  # sorted replica positions per node
-    _owner: dict[int, int] = field(default_factory=dict, repr=False)
+    replicated: tuple[int, ...] = ()  # sorted positions copied to every non-owner
+    # derived in __post_init__: per node, sorted owned and replica positions
+    owned: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    replicas: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    node_fragments: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._owner:
-            for node_id, fragment_ids in enumerate(self.node_fragments):
-                for fid in fragment_ids:
-                    for pos in self.fragment_positions[fid]:
-                        self._owner[pos] = node_id
+        for name in ("fragment_masters", "fragment_of", "node_of_fragment", "replicated"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        nodes = range(self.m)
+        owner = [self.node_of_fragment[fid] for fid in self.fragment_of]
+        owned: list[list[int]] = [[] for _ in nodes]
+        for pos, node in enumerate(owner):
+            owned[node].append(pos)
+        node_fragments: list[list[int]] = [[] for _ in nodes]
+        for fid, node in enumerate(self.node_of_fragment):
+            node_fragments[node].append(fid)
+        replica_owner = [owner[pos] for pos in self.replicated]
+        replicas = [
+            tuple([pos for pos, o in zip(self.replicated, replica_owner) if o != node])
+            for node in nodes
+        ]
+        object.__setattr__(self, "owned", tuple(map(tuple, owned)))
+        object.__setattr__(self, "replicas", tuple(replicas))
+        object.__setattr__(self, "node_fragments", tuple(map(tuple, node_fragments)))
+
+    @property
+    def k(self) -> int:
+        return len(self.fragment_masters)
 
     def owner_of(self, position: int) -> int:
-        return self._owner[position]
-
-    def owned_positions(self, node_id: int) -> set[int]:
-        owned: set[int] = set()
-        for fid in self.node_fragments[node_id]:
-            owned.update(self.fragment_positions[fid])
-        return owned
+        return self.node_of_fragment[self.fragment_of[position]]
 
     def visible_positions(self, node_id: int) -> set[int]:
         """Positions the node can answer from: its own fragments plus replicas."""
-        visible = self.owned_positions(node_id)
+        visible = set(self.owned[node_id])
         visible.update(self.replicas[node_id])
         return visible
 
     def node_loads(self) -> list[int]:
-        return [
-            sum(len(self.fragment_positions[fid]) for fid in fids)
-            for fids in self.node_fragments
-        ]
-
-    def with_replicas(self, replicas: list[list[int]]) -> "PartitionPlan":
-        if len(replicas) != self.m:
-            raise PlanError(f"expected {self.m} replica lists, got {len(replicas)}")
-        return replace(self, replicas=[sorted(r) for r in replicas], _owner=dict(self._owner))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "fragments": [
-                {"id": i, "master": self.fragment_masters[i], "tripleRefs": list(self.fragment_positions[i])}
-                for i in range(self.k)
-            ],
-            "nodes": [
-                {"id": i, "fragmentIds": list(self.node_fragments[i])} for i in range(self.m)
-            ],
-            "replicas": [list(r) for r in self.replicas],
-        }
+        return [len(positions) for positions in self.owned]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PartitionPlan":
-        try:
-            k = data["k"]
-            m = data["m"]
-            fragments = sorted(data["fragments"], key=lambda f: f["id"])
-            nodes = sorted(data["nodes"], key=lambda n: n["id"])
-            replicas = data["replicas"]
-        except (KeyError, TypeError) as exc:
-            raise PlanError(f"plan JSON missing required field: {exc}") from exc
-        if [f["id"] for f in fragments] != list(range(k)):
-            raise PlanError("fragment ids must be exactly 0..k-1")
-        if [n["id"] for n in nodes] != list(range(m)):
-            raise PlanError("node ids must be exactly 0..m-1")
-        if len(replicas) != m:
-            raise PlanError(f"expected {m} replica lists, got {len(replicas)}")
-        return cls(
-            k=k,
-            m=m,
-            fragment_masters=[f["master"] for f in fragments],
-            fragment_positions=[sorted(f["tripleRefs"]) for f in fragments],
-            node_fragments=[list(n["fragmentIds"]) for n in nodes],
-            replicas=[sorted(r) for r in replicas],
-        )
+        data = {name: getattr(self, name) for name in _FIELDS}
+        data["version"] = PLAN_FORMAT_VERSION
+        return json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionPlan":
-        return cls.from_json_dict(json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict) or data.get("version") != PLAN_FORMAT_VERSION:
+            raise PlanError(
+                f"plan file is not version {PLAN_FORMAT_VERSION}; regenerate it with "
+                "'tripleshard replicate' or 'tripleshard pipeline'"
+            )
+        missing = [name for name in _FIELDS if name not in data]
+        if missing:
+            raise PlanError(f"plan JSON missing required field: {', '.join(missing)}")
+        facts = {name: data[name] for name in _FIELDS}
+        _check(facts)
+        return cls(**facts)
 
     def validate(self, store: TripleStore) -> None:
-        """Check structural guarantees against the store; raise PlanError."""
-        seen: set[int] = set()
-        total = 0
-        for fid, positions in enumerate(self.fragment_positions):
-            for pos in positions:
-                if not 0 <= pos < store.n:
-                    raise PlanError(f"fragment {fid} references position {pos} outside store")
-                if pos in seen:
-                    raise PlanError(f"position {pos} appears in more than one fragment")
-                seen.add(pos)
-            total += len(positions)
-        if total != store.n:
-            raise PlanError(f"fragments cover {total} of {store.n} triples")
-
-        assigned: set[int] = set()
-        for node_id, fids in enumerate(self.node_fragments):
-            for fid in fids:
-                if not 0 <= fid < self.k:
-                    raise PlanError(f"node {node_id} references unknown fragment {fid}")
-                if fid in assigned:
-                    raise PlanError(f"fragment {fid} assigned to more than one node")
-                assigned.add(fid)
-        if len(assigned) != self.k:
-            raise PlanError(f"{self.k - len(assigned)} fragments are not assigned to any node")
-
-        for node_id, positions in enumerate(self.replicas):
-            owned = self.owned_positions(node_id)
-            for pos in positions:
-                if not 0 <= pos < store.n:
-                    raise PlanError(f"replica on node {node_id} references position {pos} outside store")
-                if pos in owned:
-                    raise PlanError(
-                        f"node {node_id} replicates position {pos} it already owns"
-                    )
+        """Check the stored facts are well-formed and cover exactly the
+        store's triples; raise PlanError. The rest holds by construction.
+        """
+        _check({name: getattr(self, name) for name in _FIELDS})
+        if len(self.fragment_of) != store.n:
+            raise PlanError(f"fragment_of covers {len(self.fragment_of)} of {store.n} triples")
 
 
 def build_plan(partition: PartitionResult, allocation: AllocationPlan) -> PartitionPlan:
-    """Combine partitioning and allocation into a plan with empty replica sets."""
+    """Combine partitioning and allocation into a plan with nothing replicated."""
+    fragment_of = [None] * sum(f.size for f in partition.fragments)
+    for f in partition.fragments:
+        for pos in f.positions:
+            fragment_of[pos] = f.id
+    node_of_fragment = [None] * partition.k
+    for node in allocation.nodes:
+        for fid in node.fragment_ids:
+            node_of_fragment[fid] = node.node_id
     return PartitionPlan(
-        k=partition.k,
-        m=allocation.m,
         fragment_masters=[f.master_subject for f in partition.fragments],
-        fragment_positions=[sorted(f.positions) for f in partition.fragments],
-        node_fragments=[list(n.fragment_ids) for n in allocation.nodes],
-        replicas=[[] for _ in range(allocation.m)],
+        fragment_of=fragment_of,
+        node_of_fragment=node_of_fragment,
+        m=allocation.m,
     )
 
 
@@ -165,15 +155,11 @@ def round_robin_triple_plan(store: TripleStore, m: int) -> PartitionPlan:
     """
     if m < 1:
         raise ValueError(f"node count must be at least 1, got {m}")
-    positions = [[p for p in range(store.n) if p % m == node] for node in range(m)]
-    masters = [
-        (store.triples[ps[0]].subject if ps else "") for ps in positions
-    ]
     return PartitionPlan(
-        k=m,
+        fragment_masters=[
+            store.triples[node].subject if node < store.n else "" for node in range(m)
+        ],
+        fragment_of=tuple(islice(cycle(range(m)), store.n)),
+        node_of_fragment=tuple(range(m)),
         m=m,
-        fragment_masters=masters,
-        fragment_positions=positions,
-        node_fragments=[[node] for node in range(m)],
-        replicas=[[] for _ in range(m)],
     )

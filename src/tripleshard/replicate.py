@@ -11,7 +11,7 @@ shared properties become answerable everywhere.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .plan import PartitionPlan
 from .store import TripleStore
@@ -86,8 +86,8 @@ def replicate(
 
     A triple qualifies when its predicate's centrality is at least the
     threshold (strictly above it with ``strict``). Returns the decision
-    record and the plan augmented with per-node replica sets; owned copies
-    are never duplicated onto their own node.
+    record and the plan with those triples replicated; the plan derives each
+    node's replicas, so owned copies are never duplicated onto their own node.
     """
     _check_threshold(threshold)
     if strict:
@@ -99,11 +99,6 @@ def replicate(
     for predicate in chosen:
         replicated.update(store.predicate_index[predicate])
 
-    node_replicas = []
-    for node_id in range(plan.m):
-        owned = plan.owned_positions(node_id)
-        node_replicas.append(sorted(replicated - owned))
-
     level = len(replicated) / store.n if store.n else 0.0
     decision = ReplicationDecision(
         threshold=threshold,
@@ -111,7 +106,7 @@ def replicate(
         replicated_positions=frozenset(replicated),
         replication_level=level,
     )
-    return decision, plan.with_replicas(node_replicas)
+    return decision, replace(plan, replicated=tuple(sorted(replicated)))
 
 
 def centrality_csv(table: CentralityTable) -> str:

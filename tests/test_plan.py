@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from tripleshard.allocate import allocate
@@ -17,9 +20,11 @@ def _plan(store, k=2, m=2):
 
 def test_json_round_trip():
     store = _store()
-    plan = _plan(store)
+    plan = replace(_plan(store), replicated=(1, 3))
     again = PartitionPlan.from_json(plan.to_json())
+    assert again == plan
     assert again.to_json() == plan.to_json()
+    assert again.replicas == plan.replicas
     again.validate(store)
 
 
@@ -28,7 +33,7 @@ def test_owner_lookup_covers_every_position():
     plan = _plan(store)
     for pos in range(store.n):
         owner = plan.owner_of(pos)
-        assert pos in plan.owned_positions(owner)
+        assert pos in plan.owned[owner]
 
 
 def test_validate_accepts_built_plans():
@@ -36,66 +41,63 @@ def test_validate_accepts_built_plans():
     _plan(store, 3, 2).validate(store)
 
 
-def test_validate_rejects_overlapping_fragments():
-    store = _store()
-    plan = _plan(store)
-    broken = PartitionPlan(
-        k=plan.k,
-        m=plan.m,
-        fragment_masters=plan.fragment_masters,
-        fragment_positions=[plan.fragment_positions[0], plan.fragment_positions[0]],
-        node_fragments=plan.node_fragments,
-        replicas=plan.replicas,
-    )
-    with pytest.raises(PlanError):
-        broken.validate(store)
-
-
 def test_validate_rejects_incomplete_coverage():
-    store = _store()
-    plan = _plan(store)
-    trimmed = [list(ps) for ps in plan.fragment_positions]
-    trimmed[0] = trimmed[0][:-1]
-    broken = PartitionPlan(
-        k=plan.k, m=plan.m,
-        fragment_masters=plan.fragment_masters,
-        fragment_positions=trimmed,
-        node_fragments=plan.node_fragments,
-        replicas=plan.replicas,
-    )
-    with pytest.raises(PlanError):
-        broken.validate(store)
+    plan = _plan(_store(6))
+    with pytest.raises(PlanError, match="fragment_of"):
+        plan.validate(_store(7))
 
 
 def test_validate_rejects_unassigned_fragment():
-    store = _store()
-    plan = _plan(store)
-    broken = PartitionPlan(
-        k=plan.k, m=plan.m,
-        fragment_masters=plan.fragment_masters,
-        fragment_positions=plan.fragment_positions,
-        node_fragments=[plan.node_fragments[0], []],
-        replicas=plan.replicas,
-    )
-    with pytest.raises(PlanError):
-        broken.validate(store)
-
-
-def test_validate_rejects_replica_of_owned_triple():
-    store = _store()
-    plan = _plan(store)
-    owned = sorted(plan.owned_positions(0))
-    broken = plan.with_replicas([[owned[0]], []])
-    with pytest.raises(PlanError):
-        broken.validate(store)
+    data = json.loads(_plan(_store()).to_json())
+    data["node_of_fragment"] = data["node_of_fragment"][:1]
+    with pytest.raises(PlanError, match="node_of_fragment"):
+        PartitionPlan.from_json(json.dumps(data))
 
 
 def test_from_json_requires_contiguous_ids():
-    store = _store()
-    data = _plan(store).to_json_dict()
-    data["fragments"][0]["id"] = 7
-    with pytest.raises(PlanError):
-        PartitionPlan.from_json_dict(data)
+    plan = _plan(_store())
+    for field, value in (("fragment_of", (0, 1, 2, 0, 1, 0)), ("node_of_fragment", (0, 2))):
+        data = json.loads(plan.to_json())
+        data[field] = value
+        with pytest.raises(PlanError, match=field):
+            PartitionPlan.from_json(json.dumps(data))
+
+
+_V2_FILE = json.loads(replace(_plan(_store()), replicated=(1, 3)).to_json())
+
+# the format before version 2, as the loader last accepted it
+_V1_FILE = {
+    "k": 1, "m": 2,
+    "fragments": [{"id": 0, "master": "s0", "tripleRefs": [0, 1, 2, 3, 4, 5]}],
+    "nodes": [{"id": 0, "fragmentIds": [0]}, {"id": 1, "fragmentIds": []}],
+    "replicas": [[], []],
+}
+
+
+def _edited(**changes):
+    """The valid version-2 file with fields replaced; None removes a field."""
+    data = dict(_V2_FILE, **changes)
+    return {key: value for key, value in data.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        (_edited(fragment_masters=None), "fragment_masters"),
+        (_edited(replicated=["3"]), "replicated"),
+        (_edited(fragment_of=["0"] + _V2_FILE["fragment_of"][1:]), "fragment_of"),
+        (_edited(replicated=[True]), "replicated"),
+        (_edited(replicated=[1.0]), "replicated"),
+        (_edited(replicated=[3, 3]), "replicated"),
+        (_edited(version=None), "version"),
+        (_V1_FILE, "version"),
+    ],
+    ids=["missing-master", "string-position", "string-fragment-id", "bool-position",
+         "float-position", "duplicate-replica", "no-version", "old-format"],
+)
+def test_from_json_rejects_hand_edited_files(data, field):
+    with pytest.raises(PlanError, match=field):
+        PartitionPlan.from_json(json.dumps(data))
 
 
 def test_round_robin_plan_deals_positions_in_rotation():

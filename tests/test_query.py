@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -123,12 +124,10 @@ def test_validation_rejects_malformed_shapes():
 def _split_plan():
     """(a,p,b) owned by node 0, (b,q,c) owned by node 1."""
     return PartitionPlan(
-        k=2,
+        fragment_masters=("a", "b"),
+        fragment_of=(0, 1),
+        node_of_fragment=(0, 1),
         m=2,
-        fragment_masters=["a", "b"],
-        fragment_positions=[[0], [1]],
-        node_fragments=[[0], [1]],
-        replicas=[[], []],
     )
 
 
@@ -149,11 +148,10 @@ def test_split_chain_touches_both_nodes():
 def test_co_located_chain_is_local():
     store = _store(("a", "p", "b"), ("b", "q", "c"))
     plan = PartitionPlan(
-        k=1, m=2,
-        fragment_masters=["a"],
-        fragment_positions=[[0, 1]],
-        node_fragments=[[0], []],
-        replicas=[[], []],
+        fragment_masters=("a",),
+        fragment_of=(0, 0),
+        node_of_fragment=(0,),
+        m=2,
     )
     result = evaluate_distributed(store, plan, CHAIN, home_node=0)
     assert result.metrics.locally_answered
@@ -163,7 +161,8 @@ def test_co_located_chain_is_local():
 
 def test_replicas_make_the_split_chain_local():
     store = _store(("a", "p", "b"), ("b", "q", "c"))
-    plan = _split_plan().with_replicas([[1], [0]])
+    plan = replace(_split_plan(), replicated=(0, 1))
+    assert plan.replicas == ((1,), (0,))
     result = evaluate_distributed(store, plan, CHAIN, home_node=0)
     assert result.metrics.locally_answered
     assert result.metrics.nodes_touched == 1

@@ -109,7 +109,7 @@ def test_threshold_above_all_centralities_replicates_nothing():
     decision, augmented = replicate(plan, table, 1.0, store)
     assert decision.replicated_positions == frozenset()
     assert decision.replication_level == 0.0
-    assert augmented.replicas == [[], []]
+    assert augmented.replicas == ((), ())
 
 
 def test_threshold_at_minimum_replicates_everything():
@@ -120,7 +120,7 @@ def test_threshold_at_minimum_replicates_everything():
     decision, augmented = replicate(plan, table, min(table.values.values()), store)
     assert decision.replication_level == 1.0
     for node_id in range(3):
-        owned = augmented.owned_positions(node_id)
+        owned = set(augmented.owned[node_id])
         assert owned | set(augmented.replicas[node_id]) == set(range(store.n))
         assert owned.isdisjoint(augmented.replicas[node_id])
 
@@ -174,4 +174,4 @@ def test_replicas_never_overlap_owned_data():
     _, augmented = replicate(plan, table, 0.5, store)
     augmented.validate(store)
     for node_id in range(3):
-        assert augmented.owned_positions(node_id).isdisjoint(augmented.replicas[node_id])
+        assert set(augmented.owned[node_id]).isdisjoint(augmented.replicas[node_id])
