@@ -5,7 +5,7 @@ positions into the canonical serialized triple file written alongside the
 plan, so a plan plus that file fully describes the cluster layout.
 
 A plan stores each fact once and derives the rest (owners, per-node owned and
-replica positions, loads) when built; it cannot change afterwards. So each
+replica positions, loads) on first use; it cannot change afterwards. So each
 triple sits in one fragment, each fragment on one node, and no node
 replicates what it owns.
 """
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import cycle, islice
 
 from .allocate import AllocationPlan
@@ -59,30 +60,35 @@ class PartitionPlan:
     node_of_fragment: tuple[int, ...]  # node per fragment (length k)
     m: int
     replicated: tuple[int, ...] = ()  # sorted positions copied to every non-owner
-    # derived in __post_init__: per node, sorted owned and replica positions
-    owned: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    replicas: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    node_fragments: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("fragment_masters", "fragment_of", "node_of_fragment", "replicated"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        nodes = range(self.m)
-        owner = [self.node_of_fragment[fid] for fid in self.fragment_of]
-        owned: list[list[int]] = [[] for _ in nodes]
-        for pos, node in enumerate(owner):
-            owned[node].append(pos)
-        node_fragments: list[list[int]] = [[] for _ in nodes]
+
+    @cached_property
+    def owned(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted positions each node owns."""
+        owned: list[list[int]] = [[] for _ in range(self.m)]
+        for pos, fid in enumerate(self.fragment_of):
+            owned[self.node_of_fragment[fid]].append(pos)
+        return tuple(map(tuple, owned))
+
+    @cached_property
+    def replicas(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted replicated positions each node holds but does not own."""
+        replica_owner = [self.owner_of(pos) for pos in self.replicated]
+        return tuple(
+            tuple([pos for pos, o in zip(self.replicated, replica_owner) if o != node])
+            for node in range(self.m)
+        )
+
+    @cached_property
+    def node_fragments(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending fragment ids placed on each node."""
+        node_fragments: list[list[int]] = [[] for _ in range(self.m)]
         for fid, node in enumerate(self.node_of_fragment):
             node_fragments[node].append(fid)
-        replica_owner = [owner[pos] for pos in self.replicated]
-        replicas = [
-            tuple([pos for pos, o in zip(self.replicated, replica_owner) if o != node])
-            for node in nodes
-        ]
-        object.__setattr__(self, "owned", tuple(map(tuple, owned)))
-        object.__setattr__(self, "replicas", tuple(replicas))
-        object.__setattr__(self, "node_fragments", tuple(map(tuple, node_fragments)))
+        return tuple(map(tuple, node_fragments))
 
     @property
     def k(self) -> int:
@@ -91,11 +97,21 @@ class PartitionPlan:
     def owner_of(self, position: int) -> int:
         return self.node_of_fragment[self.fragment_of[position]]
 
-    def visible_positions(self, node_id: int) -> set[int]:
-        """Positions the node can answer from: its own fragments plus replicas."""
-        visible = set(self.owned[node_id])
-        visible.update(self.replicas[node_id])
-        return visible
+    @cached_property
+    def _visible(self) -> tuple[bytes, ...]:
+        replicated = bytearray(len(self.fragment_of))
+        for pos in self.replicated:
+            replicated[pos] = 1
+        masks = [bytearray(replicated) for _ in range(self.m)]
+        for pos, fid in enumerate(self.fragment_of):
+            masks[self.node_of_fragment[fid]][pos] = 1
+        return tuple(map(bytes, masks))
+
+    def visible_positions(self, node_id: int) -> bytes:
+        """Mask, built once per plan, that is 1 at each position the node can
+        answer from (its own fragments plus replicas): test ``mask[pos]``,
+        as ``pos in mask`` searches the byte values."""
+        return self._visible[node_id]
 
     def node_loads(self) -> list[int]:
         return [len(positions) for positions in self.owned]

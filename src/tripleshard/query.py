@@ -3,11 +3,12 @@
 Two deliberately independent evaluation routes exist. The centralized route
 matches every pattern against the whole store and hash-joins the match
 relations on their shared variables; it is the correctness reference. The
-distributed route simulates execution over a deployment plan: it evaluates
-with index-nested-loop propagation, first against the home node's visible
-triples (owned plus replicas), then against the cluster, and records how
-many nodes had to serve data. Bindings from the distributed route always
-equal the centralized reference because every triple is owned somewhere.
+distributed route simulates execution over a deployment plan with
+index-nested-loop propagation: once per query over the whole cluster, then
+once per candidate home node over its visible triples (owned plus replicas);
+a home's remote scans and serving nodes follow from the cluster-wide pass.
+Bindings from the distributed route always equal the centralized reference
+because every triple is owned somewhere.
 
 A query is answered locally when the home node's visible triples alone
 reproduce the reference bindings. The latency proxy charges the triples
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .plan import PartitionPlan
 from .store import TripleStore
@@ -137,42 +138,30 @@ def _bind(triple, s: str, p: str, o: str) -> dict[str, str] | None:
 
 
 def _pattern_matches(
-    store: TripleStore,
-    s: str,
-    p: str,
-    o: str,
-    visible: set[int] | None = None,
-    split: set[int] | None = None,
-) -> tuple[int, int, list[tuple[int, dict[str, str]]]]:
+    store: TripleStore, s: str, p: str, o: str, visible: bytes | None = None
+) -> tuple[Sequence[int], list[tuple[int, dict[str, str]]]]:
     """Match one (possibly partially bound) pattern against the store.
 
     Candidates come from the subject index when the subject is constant, then
     the predicate index; a constant object alone falls back to a full scan
-    because literal objects are unindexed. Returns candidates examined inside
-    and outside ``split`` plus the matches. With ``visible`` given, only those
-    positions exist at all (a node scanning its local data).
+    because objects are unindexed. Returns the candidate positions
+    examined and the matches. With a ``visible`` mask given, only the
+    positions it marks exist at all (a node scanning its local data).
     """
     if not is_variable(s):
-        bucket: Iterable[int] = store.subject_index.get(s, ())
+        candidates: Sequence[int] = store.subject_index.get(s, ())
     elif not is_variable(p):
-        bucket = store.predicate_index.get(p, ())
+        candidates = store.predicate_index.get(p, ())
     else:
-        bucket = range(store.n)
-
-    examined_in = 0
-    examined_out = 0
+        candidates = range(store.n)
+    if visible is not None:
+        candidates = [pos for pos in candidates if visible[pos]]
     matches: list[tuple[int, dict[str, str]]] = []
-    for pos in bucket:
-        if visible is not None and pos not in visible:
-            continue
-        if split is not None and pos not in split:
-            examined_out += 1
-        else:
-            examined_in += 1
+    for pos in candidates:
         row = _bind(store.triples[pos], s, p, o)
         if row is not None:
             matches.append((pos, row))
-    return examined_in, examined_out, matches
+    return candidates, matches
 
 
 def _dedupe(rows: list[dict[str, str]]) -> list[dict[str, str]]:
@@ -229,11 +218,11 @@ def evaluate_centralized(store: TripleStore, q: QueryPattern) -> QueryResult:
     scanned = 0
     rows: list[dict[str, str]] | None = None
     for pat in q.patterns:
-        examined, _, matches = _pattern_matches(store, *pat.terms())
-        scanned += examined
+        candidates, matches = _pattern_matches(store, *pat.terms())
+        scanned += len(candidates)
         relation = _dedupe([ext for _, ext in matches])
         rows = relation if rows is None else _hash_join(rows, relation)
-    rows = _dedupe(_apply_range(rows or [], q))
+    rows = _apply_range(rows or [], q)
     metrics = QueryMetrics(
         nodes_touched=1,
         locally_answered=True,
@@ -244,22 +233,21 @@ def evaluate_centralized(store: TripleStore, q: QueryPattern) -> QueryResult:
     return QueryResult(_freeze(rows), metrics)
 
 
+_Pass = tuple[frozenset[Binding], set[int], list[Sequence[int]]]
+
+
 def _propagate_eval(
-    store: TripleStore,
-    q: QueryPattern,
-    visible: set[int] | None = None,
-    split: set[int] | None = None,
-) -> tuple[frozenset[Binding], int, set[int], int]:
+    store: TripleStore, q: QueryPattern, visible: bytes | None = None
+) -> _Pass:
     """Index-nested-loop evaluation with binding propagation.
 
-    Returns (bindings, candidates examined inside split, matched positions,
-    candidates examined outside split). Probes are memoized so a repeated
-    lookup is charged once.
+    Returns (bindings, matched positions, the candidate positions of each
+    distinct probe). Probes are memoized so a repeated lookup is examined,
+    and charged, once.
     """
     rows: list[dict[str, str]] = [{}]
-    scanned_in = 0
-    scanned_out = 0
     matched: set[int] = set()
+    examined: list[Sequence[int]] = []
     cache: dict[tuple[str, str, str], list[tuple[int, dict[str, str]]]] = {}
     for pat in q.patterns:
         next_rows: list[dict[str, str]] = []
@@ -271,9 +259,8 @@ def _propagate_eval(
             if key in cache:
                 matches = cache[key]
             else:
-                ex_in, ex_out, matches = _pattern_matches(store, s, p, o, visible, split)
-                scanned_in += ex_in
-                scanned_out += ex_out
+                candidates, matches = _pattern_matches(store, s, p, o, visible)
+                examined.append(candidates)
                 cache[key] = matches
             for pos, ext in matches:
                 matched.add(pos)
@@ -281,8 +268,40 @@ def _propagate_eval(
         rows = _dedupe(next_rows)
         if not rows:
             break
-    rows = _dedupe(_apply_range(rows, q))
-    return _freeze(rows), scanned_in, matched, scanned_out
+    return _freeze(_apply_range(rows, q)), matched, examined
+
+
+def _home_metrics(
+    store: TripleStore, plan: PartitionPlan, q: QueryPattern, home: int, cluster: _Pass
+) -> QueryMetrics:
+    """Cost of answering ``q`` from ``home``, given the cluster-wide pass.
+
+    The home node answers from its visible triples; when those already
+    reproduce the cluster-wide bindings the query is local and costs only the
+    home scan. Otherwise every node whose data served a match is counted, and
+    the cluster candidates the home cannot see are added to the cost.
+    """
+    if not 0 <= home < plan.m:
+        raise ValueError(f"home node {home} outside 0..{plan.m - 1}")
+    visible = plan.visible_positions(home)
+    bindings, matched, examined = cluster
+    local_bindings, _, local_examined = _propagate_eval(store, q, visible)
+    scanned = sum(map(len, local_examined))
+    locally_answered = local_bindings == bindings
+    if locally_answered:
+        nodes_touched = 1
+    else:
+        served = {home if visible[pos] else plan.owner_of(pos) for pos in matched}
+        nodes_touched = max(1, len(served))
+        for candidates in examined:
+            scanned += len(candidates) - sum(map(visible.__getitem__, candidates))
+    return QueryMetrics(
+        nodes_touched=nodes_touched,
+        locally_answered=locally_answered,
+        joins=len(q.patterns) - 1,
+        triples_scanned=scanned,
+        qet_proxy=scanned + HOP_PENALTY * (nodes_touched - 1),
+    )
 
 
 def evaluate_distributed(
@@ -290,38 +309,11 @@ def evaluate_distributed(
 ) -> QueryResult:
     """Simulate evaluation routed to ``home_node`` under the given plan.
 
-    The home node answers from its visible triples; when those already
-    reproduce the cluster-wide bindings the query is local and costs only the
-    home scan. Otherwise the evaluation widens to the whole cluster, every
-    node whose data served a match is counted, and the remote candidates
-    scanned are added to the cost. Returned bindings are always the
-    cluster-wide (reference-equal) bindings.
+    Returned bindings are always the cluster-wide (reference-equal) bindings.
     """
     q.validate()
-    if not 0 <= home_node < plan.m:
-        raise ValueError(f"home node {home_node} outside 0..{plan.m - 1}")
-    visible = plan.visible_positions(home_node)
-    home_bindings, home_scanned, _, _ = _propagate_eval(store, q, visible=visible)
-    full_bindings, _, matched, remote_scanned = _propagate_eval(store, q, split=visible)
-
-    locally_answered = home_bindings == full_bindings
-    if locally_answered:
-        nodes_touched = 1
-        scanned = home_scanned
-    else:
-        served = {
-            home_node if pos in visible else plan.owner_of(pos) for pos in matched
-        }
-        nodes_touched = max(1, len(served))
-        scanned = home_scanned + remote_scanned
-    metrics = QueryMetrics(
-        nodes_touched=nodes_touched,
-        locally_answered=locally_answered,
-        joins=len(q.patterns) - 1,
-        triples_scanned=scanned,
-        qet_proxy=scanned + HOP_PENALTY * (nodes_touched - 1),
-    )
-    return QueryResult(full_bindings, metrics)
+    cluster = _propagate_eval(store, q)
+    return QueryResult(cluster[0], _home_metrics(store, plan, q, home_node, cluster))
 
 
 # ---------------------------------------------------------------------------
@@ -524,28 +516,23 @@ def inc_report(
 
     ``policy`` picks the home node per query: "best" routes each query to the
     node needing the fewest touches (how a subject-aware router behaves),
-    "fixed" sends everything to ``home_node``.
+    "fixed" sends everything to ``home_node``. Each query's cluster-wide pass
+    runs once and is shared by every candidate home.
     """
     if policy not in ("best", "fixed"):
         raise ValueError(f"unknown home-node policy {policy!r}")
     if not workload:
         raise ValueError("workload must contain at least one query")
 
+    homes = range(plan.m) if policy == "best" else (home_node,)
     outcomes: list[QueryOutcome] = []
     for i, q in enumerate(workload):
-        if policy == "fixed":
-            chosen_home = home_node
-            result = evaluate_distributed(store, plan, q, home_node)
-        else:
-            chosen_home, result = 0, None
-            best_key = None
-            for node in range(plan.m):
-                r = evaluate_distributed(store, plan, q, node)
-                key = (r.metrics.nodes_touched, not r.metrics.locally_answered, node)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    chosen_home, result = node, r
-        m = result.metrics
+        q.validate()
+        cluster = _propagate_eval(store, q)
+        chosen_home, m = min(
+            ((node, _home_metrics(store, plan, q, node, cluster)) for node in homes),
+            key=lambda pair: (pair[1].nodes_touched, not pair[1].locally_answered, pair[0]),
+        )
         outcomes.append(
             QueryOutcome(
                 index=i,

@@ -1,10 +1,8 @@
 """In-memory triple store: parsing, serialization, CSV ingestion, and indexes.
 
 The store keeps triples in first-occurrence order and treats the graph as a
-set: exact duplicates are dropped on construction. Three hash indexes map
-subjects, predicates, and resource objects to triple positions. Literal
-objects are deliberately kept out of the object index so that a literal can
-never be mistaken for a joinable node.
+set: exact duplicates are dropped on construction. Two hash indexes map
+subjects and predicates to triple positions.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ class TripleStore:
     positions into this store.
     """
 
-    __slots__ = ("triples", "subject_index", "object_index", "predicate_index")
+    __slots__ = ("triples", "subject_index", "predicate_index")
 
     def __init__(self, triples: Iterable[Triple]):
         seen: set[tuple] = set()
@@ -67,15 +65,11 @@ class TripleStore:
 
         subject_index: dict[str, list[int]] = {}
         predicate_index: dict[str, list[int]] = {}
-        object_index: dict[str, list[int]] = {}
         for i, t in enumerate(self.triples):
             subject_index.setdefault(t.subject, []).append(i)
             predicate_index.setdefault(t.predicate, []).append(i)
-            if not t.object_is_literal:
-                object_index.setdefault(t.object, []).append(i)
         self.subject_index = subject_index
         self.predicate_index = predicate_index
-        self.object_index = object_index
 
     @property
     def n(self) -> int:

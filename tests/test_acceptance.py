@@ -174,14 +174,25 @@ def test_criterion_7_locality_beats_round_robin():
     _, rr_plan = replicate(rr_bare, table, threshold, store)
 
     workload = generate_workload(store, 11)
-    ours = inc_report(store, plan, workload, policy="best").fraction_local
-    baseline = inc_report(store, rr_plan, workload, policy="best").fraction_local
+
+    def local(layout):
+        return inc_report(store, layout, workload, policy="best").fraction_local
+
+    ours, baseline = local(plan), local(rr_plan)
     assert ours >= baseline
     assert ours >= 0.5
+    # the derived threshold replicates every triple of this graph, so placement
+    # is compared strictly where it still decides locality: no replicas, t=0.65
+    bare_ours, bare_baseline = local(bare), local(rr_bare)
+    assert bare_ours > bare_baseline
+    mid_ours = local(replicate(bare, table, 0.65, store)[1])
+    mid_baseline = local(replicate(rr_bare, table, 0.65, store)[1])
+    assert mid_ours > mid_baseline
     _ok(
         7,
-        f"derived threshold {threshold:.4f}: fraction local {ours:.3f} "
-        f">= round-robin {baseline:.3f} and >= 0.5",
+        f"fraction local vs round-robin: derived threshold {threshold:.4f} "
+        f"{ours:.3f} >= {baseline:.3f} and >= 0.5; no replicas {bare_ours:.3f} "
+        f"> {bare_baseline:.3f}; t=0.65 {mid_ours:.3f} > {mid_baseline:.3f}",
     )
 
 

@@ -138,11 +138,15 @@ CHAIN = QueryPattern(
 
 def test_split_chain_touches_both_nodes():
     store = _store(("a", "p", "b"), ("b", "q", "c"))
-    result = evaluate_distributed(store, _split_plan(), CHAIN, home_node=0)
-    assert not result.metrics.locally_answered
-    assert result.metrics.nodes_touched == 2
-    assert _rows(result) == [{"?x": "b", "?y": "c"}]
-    assert result.metrics.qet_proxy == result.metrics.triples_scanned + HOP_PENALTY
+    # home 0 scans (a,p,b) itself and (b,q,c) remotely; home 1 cannot see the
+    # first hop's one candidate, so only (a,p,b) is charged, as a remote scan
+    for home, scanned in ((0, 2), (1, 1)):
+        result = evaluate_distributed(store, _split_plan(), CHAIN, home_node=home)
+        assert not result.metrics.locally_answered
+        assert result.metrics.nodes_touched == 2
+        assert _rows(result) == [{"?x": "b", "?y": "c"}]
+        assert result.metrics.triples_scanned == scanned
+        assert result.metrics.qet_proxy == scanned + HOP_PENALTY
 
 
 def test_co_located_chain_is_local():
@@ -185,6 +189,27 @@ def test_distributed_bindings_always_match_reference():
                     assert (
                         evaluate_distributed(store, use, q, home).bindings == reference
                     )
+
+
+def test_inc_report_picks_the_cheapest_home_per_query():
+    store = generate_sensor_graph(17, 12, 14)
+    grown = _grown_plan(store, 4, 3)
+    _, replicated_plan = replicate(grown, compute_centrality(store), 0.6, store)
+    workload = generate_workload(store, 3)
+    for plan in (replicated_plan, round_robin_triple_plan(store, 3)):
+        runs = [("best", 0, range(plan.m))]
+        runs += [("fixed", home, (home,)) for home in range(plan.m)]
+        for policy, home_node, homes in runs:
+            report = inc_report(store, plan, workload, policy=policy, home_node=home_node)
+            for q, outcome in zip(workload, report.outcomes):
+                results = {h: evaluate_distributed(store, plan, q, h).metrics for h in homes}
+                home = min(
+                    homes,
+                    key=lambda h: (results[h].nodes_touched, not results[h].locally_answered, h),
+                )
+                assert outcome.home_node == home
+                expected = vars(results[home])
+                assert {name: getattr(outcome, name) for name in expected} == expected
 
 
 def test_star_on_master_subject_is_local_under_best_routing():
@@ -253,6 +278,8 @@ def test_inc_report_validates_inputs():
         inc_report(store, plan, [], policy="best")
     with pytest.raises(ValueError):
         inc_report(store, plan, [CHAIN], policy="nearest")
+    with pytest.raises(ValueError):
+        inc_report(store, plan, [CHAIN], policy="fixed", home_node=plan.m)
 
 
 def test_home_node_bounds_checked():

@@ -175,3 +175,6 @@ def test_replicas_never_overlap_owned_data():
     augmented.validate(store)
     for node_id in range(3):
         assert set(augmented.owned[node_id]).isdisjoint(augmented.replicas[node_id])
+        mask = augmented.visible_positions(node_id)
+        marked = {pos for pos in range(store.n) if mask[pos]}
+        assert marked == set(augmented.owned[node_id]) | set(augmented.replicas[node_id])

@@ -28,8 +28,6 @@ def test_parse_literal_statement():
     t = store.triples[0]
     assert t.object == "20"
     assert t.object_is_literal
-    # literals never become joinable nodes
-    assert store.object_index == {}
 
 
 def test_duplicate_statements_collapse():
@@ -113,14 +111,6 @@ def test_index_soundness_randomized():
                 assert store.triples[p].predicate == name
                 predicate_seen.add(p)
         assert subject_seen == predicate_seen == set(range(store.n))
-        object_seen = set()
-        for o, positions in store.object_index.items():
-            for p in positions:
-                t = store.triples[p]
-                assert t.object == o and not t.object_is_literal
-                object_seen.add(p)
-        expected = {i for i, t in enumerate(store.triples) if not t.object_is_literal}
-        assert object_seen == expected
 
 
 def test_store_deduplicates_on_construction():
@@ -178,5 +168,5 @@ def test_ingest_resource_columns():
     )
     result = ingest_csv("id,target\ns1,s2\n", mapping)
     t = result.store.triples[0]
+    assert (t.subject, t.predicate, t.object) == ("s1", "linksTo", "s2")
     assert not t.object_is_literal
-    assert result.store.object_index == {"s2": [0]}
