@@ -243,7 +243,9 @@ def _propagate_eval(
 
     Returns (bindings, matched positions, the candidate positions of each
     distinct probe). Probes are memoized so a repeated lookup is examined,
-    and charged, once.
+    and charged, once. Rows are not deduplicated between patterns: distinct
+    triples extend a row distinctly, except a literal/resource twin, whose
+    equal rows the final freeze collapses.
     """
     rows: list[dict[str, str]] = [{}]
     matched: set[int] = set()
@@ -265,7 +267,7 @@ def _propagate_eval(
             for pos, ext in matches:
                 matched.add(pos)
                 next_rows.append(row | ext)
-        rows = _dedupe(next_rows)
+        rows = next_rows
         if not rows:
             break
     return _freeze(_apply_range(rows, q)), matched, examined
@@ -366,15 +368,16 @@ def generate_workload(
         s for s in store.subject_index if len(_subject_predicates(store, s)) >= 2
     ]
     numeric_values: dict[str, list[float]] = {}
-    for predicate, positions in store.predicate_index.items():
-        vals = []
-        for pos in positions:
-            try:
-                vals.append(float(store.triples[pos].object))
-            except ValueError:
-                continue
-        if vals:
-            numeric_values[predicate] = sorted(vals)
+    if counts[2]:  # only range queries read them
+        for predicate, positions in store.predicate_index.items():
+            vals = []
+            for pos in positions:
+                try:
+                    vals.append(float(store.triples[pos].object))
+                except ValueError:
+                    continue
+            if vals:
+                numeric_values[predicate] = sorted(vals)
 
     first_subject = store.triples[0].subject
     fallback_predicate = store.triples[0].predicate

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 
 class ParseError(ValueError):
@@ -25,21 +25,11 @@ class IngestError(ValueError):
     """Tabular input that cannot be mapped onto triples."""
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str
     predicate: str
     object: str
     object_is_literal: bool = False
-
-    def __post_init__(self):
-        if not self.subject:
-            raise ValueError("triple subject must be a non-empty string")
-        if not self.predicate:
-            raise ValueError("triple predicate must be a non-empty string")
-
-    def key(self) -> tuple[str, str, str, bool]:
-        return (self.subject, self.predicate, self.object, self.object_is_literal)
 
 
 class TripleStore:
@@ -53,33 +43,20 @@ class TripleStore:
     __slots__ = ("triples", "subject_index", "predicate_index")
 
     def __init__(self, triples: Iterable[Triple]):
-        seen: set[tuple] = set()
-        kept: list[Triple] = []
-        for t in triples:
-            k = t.key()
-            if k in seen:
-                continue
-            seen.add(k)
-            kept.append(t)
-        self.triples: tuple[Triple, ...] = tuple(kept)
-
+        self.triples: tuple[Triple, ...] = tuple(dict.fromkeys(triples))
         subject_index: dict[str, list[int]] = {}
         predicate_index: dict[str, list[int]] = {}
         for i, t in enumerate(self.triples):
             subject_index.setdefault(t.subject, []).append(i)
             predicate_index.setdefault(t.predicate, []).append(i)
+        if "" in subject_index or "" in predicate_index:
+            raise ValueError("triple subject and predicate must be non-empty strings")
         self.subject_index = subject_index
         self.predicate_index = predicate_index
 
     @property
     def n(self) -> int:
         return len(self.triples)
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(self.triples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripleStore):

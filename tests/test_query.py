@@ -149,6 +149,26 @@ def test_split_chain_touches_both_nodes():
         assert result.metrics.qet_proxy == scanned + HOP_PENALTY
 
 
+def test_literal_twin_chain_matches_reference():
+    # (a,p,b) and (a,p,"b") bind ?x to b twice; the twin rows collapse and the
+    # memoized second hop is charged once
+    store = _store(("a", "p", "b", False), ("a", "p", "b", True), ("b", "q", "c"))
+    plan = PartitionPlan(
+        fragment_masters=("a", "b"),
+        fragment_of=(0, 0, 1),
+        node_of_fragment=(0, 1),
+        m=2,
+    )
+    reference = evaluate_centralized(store, CHAIN)
+    assert _rows(reference) == [{"?x": "b", "?y": "c"}]
+    for home, scanned in ((0, 3), (1, 2)):
+        result = evaluate_distributed(store, plan, CHAIN, home_node=home)
+        assert result.bindings == reference.bindings
+        assert result.metrics.nodes_touched == 2
+        assert result.metrics.triples_scanned == scanned
+        assert result.metrics.qet_proxy == scanned + HOP_PENALTY
+
+
 def test_co_located_chain_is_local():
     store = _store(("a", "p", "b"), ("b", "q", "c"))
     plan = PartitionPlan(

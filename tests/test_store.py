@@ -80,11 +80,13 @@ def test_literal_escaping_round_trips():
     assert parse_ntriples(serialize_ntriples(original)) == original
 
 
-def test_triple_rejects_empty_subject_or_predicate():
+def test_store_rejects_empty_subject_or_predicate():
     with pytest.raises(ValueError):
-        Triple("", "p", "o")
+        TripleStore([Triple("", "p", "o")])
     with pytest.raises(ValueError):
-        Triple("s", "", "o")
+        TripleStore([Triple("s", "", "o")])
+    with pytest.raises(ValueError):
+        ingest_csv("id,temp\ns1,20\n", CsvMapping("id", (("", "temp"),)))
 
 
 def test_round_trip_randomized():
@@ -118,6 +120,8 @@ def test_store_deduplicates_on_construction():
     store = TripleStore([t, t, Triple("a", "p", "b", True)])
     # literal flag distinguishes otherwise equal triples
     assert store.n == 2
+    b = Triple("b", "p", "c")
+    assert TripleStore([b, t, b]).triples == (b, t)
 
 
 MAPPING = CsvMapping(subject_column="id", properties=(("hasTemp", "temp"),))
