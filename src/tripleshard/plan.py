@@ -98,20 +98,20 @@ class PartitionPlan:
         return self.node_of_fragment[self.fragment_of[position]]
 
     @cached_property
-    def _visible(self) -> tuple[bytes, ...]:
-        replicated = bytearray(len(self.fragment_of))
+    def seen_by(self) -> tuple[int, ...]:
+        """Node bit mask per position: bit i is set when node i owns or replicates it."""
+        bits = [1 << node for node in self.node_of_fragment]
+        seen = list(map(bits.__getitem__, self.fragment_of))
         for pos in self.replicated:
-            replicated[pos] = 1
-        masks = [bytearray(replicated) for _ in range(self.m)]
-        for pos, fid in enumerate(self.fragment_of):
-            masks[self.node_of_fragment[fid]][pos] = 1
-        return tuple(map(bytes, masks))
+            seen[pos] = (1 << self.m) - 1
+        return tuple(seen)
 
     def visible_positions(self, node_id: int) -> bytes:
-        """Mask, built once per plan, that is 1 at each position the node can
-        answer from (its own fragments plus replicas): test ``mask[pos]``,
-        as ``pos in mask`` searches the byte values."""
-        return self._visible[node_id]
+        """Mask that is 1 at each position the node holds (owned or replica):
+        test ``mask[pos]``, as ``pos in mask`` searches the byte values."""
+        if not 0 <= node_id < self.m:
+            raise ValueError(f"node {node_id} outside 0..{self.m - 1}")
+        return bytes(mask >> node_id & 1 for mask in self.seen_by)
 
     def node_loads(self) -> list[int]:
         return [len(positions) for positions in self.owned]

@@ -4,11 +4,11 @@ Two deliberately independent evaluation routes exist. The centralized route
 matches every pattern against the whole store and hash-joins the match
 relations on their shared variables; it is the correctness reference. The
 distributed route simulates execution over a deployment plan with
-index-nested-loop propagation: once per query over the whole cluster, then
-once per candidate home node over its visible triples (owned plus replicas);
-a home's remote scans and serving nodes follow from the cluster-wide pass.
-Bindings from the distributed route always equal the centralized reference
-because every triple is owned somewhere.
+index-nested-loop propagation, once per query over the whole cluster; each
+candidate home node's figures are read from that one pass, because the home's
+own pass over its visible triples (owned plus replicas) is the cluster pass
+restricted to them. Bindings from the distributed route always equal the
+centralized reference because every triple is owned somewhere.
 
 A query is answered locally when the home node's visible triples alone
 reproduce the reference bindings. The latency proxy charges the triples
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,15 +139,14 @@ def _bind(triple, s: str, p: str, o: str) -> dict[str, str] | None:
 
 
 def _pattern_matches(
-    store: TripleStore, s: str, p: str, o: str, visible: bytes | None = None
+    store: TripleStore, s: str, p: str, o: str
 ) -> tuple[Sequence[int], list[tuple[int, dict[str, str]]]]:
     """Match one (possibly partially bound) pattern against the store.
 
     Candidates come from the subject index when the subject is constant, then
     the predicate index; a constant object alone falls back to a full scan
     because objects are unindexed. Returns the candidate positions
-    examined and the matches. With a ``visible`` mask given, only the
-    positions it marks exist at all (a node scanning its local data).
+    examined and the matches.
     """
     if not is_variable(s):
         candidates: Sequence[int] = store.subject_index.get(s, ())
@@ -154,8 +154,6 @@ def _pattern_matches(
         candidates = store.predicate_index.get(p, ())
     else:
         candidates = range(store.n)
-    if visible is not None:
-        candidates = [pos for pos in candidates if visible[pos]]
     matches: list[tuple[int, dict[str, str]]] = []
     for pos in candidates:
         row = _bind(store.triples[pos], s, p, o)
@@ -175,21 +173,20 @@ def _dedupe(rows: list[dict[str, str]]) -> list[dict[str, str]]:
     return out
 
 
+def _in_range(f: RangeFilter, value: str) -> bool:
+    try:
+        x = float(value)
+    except ValueError:
+        return False
+    return f.low <= x <= f.high
+
+
 def _apply_range(rows: list[dict[str, str]], q: QueryPattern) -> list[dict[str, str]]:
     f = q.range_filter
     if f is None:
         return rows
     term = q.patterns[0].object
-    kept = []
-    for row in rows:
-        value = row.get(term, term)
-        try:
-            x = float(value)
-        except ValueError:
-            continue
-        if f.low <= x <= f.high:
-            kept.append(row)
-    return kept
+    return [row for row in rows if _in_range(f, row.get(term, term))]
 
 
 def _freeze(rows: list[dict[str, str]]) -> frozenset[Binding]:
@@ -233,77 +230,93 @@ def evaluate_centralized(store: TripleStore, q: QueryPattern) -> QueryResult:
     return QueryResult(_freeze(rows), metrics)
 
 
-_Pass = tuple[frozenset[Binding], set[int], list[Sequence[int]]]
-
-
 def _propagate_eval(
-    store: TripleStore, q: QueryPattern, visible: bytes | None = None
-) -> _Pass:
-    """Index-nested-loop evaluation with binding propagation.
+    store: TripleStore, q: QueryPattern, seen_by: Sequence[int]
+) -> tuple[dict[Binding, int], set[int], list[tuple[Sequence[int], int]]]:
+    """Index-nested-loop evaluation with binding propagation, cluster-wide.
 
-    Returns (bindings, matched positions, the candidate positions of each
-    distinct probe). Probes are memoized so a repeated lookup is examined,
-    and charged, once. Rows are not deduplicated between patterns: distinct
-    triples extend a row distinctly, except a literal/resource twin, whose
-    equal rows the final freeze collapses.
+    Each row carries its reach, the AND of ``seen_by`` over the positions
+    that built it: the nodes that could build it alone. Returns each binding
+    with the OR of its rows' reach, the matched positions, and each distinct
+    probe's candidates with the OR of the reach of the rows that sent it.
+    Probes are memoized so a repeated lookup is examined, and charged, once.
+    Rows are not deduplicated between patterns: distinct triples extend a row
+    distinctly, except a literal/resource twin, whose rows share a binding.
     """
-    rows: list[dict[str, str]] = [{}]
+    rows: list[tuple[dict[str, str], int]] = [({}, -1)]  # all bits set: every node starts
     matched: set[int] = set()
-    examined: list[Sequence[int]] = []
-    cache: dict[tuple[str, str, str], list[tuple[int, dict[str, str]]]] = {}
+    probes: dict[tuple[str, str, str], tuple[Sequence[int], list]] = {}
+    probe_reach: dict[tuple[str, str, str], int] = {}
     for pat in q.patterns:
-        next_rows: list[dict[str, str]] = []
-        for row in rows:
-            s = row.get(pat.subject, pat.subject)
-            p = row.get(pat.predicate, pat.predicate)
-            o = row.get(pat.object, pat.object)
-            key = (s, p, o)
-            if key in cache:
-                matches = cache[key]
-            else:
-                candidates, matches = _pattern_matches(store, s, p, o, visible)
-                examined.append(candidates)
-                cache[key] = matches
-            for pos, ext in matches:
+        s, p, o = pat.terms()
+        next_rows: list[tuple[dict[str, str], int]] = []
+        for row, reach in rows:
+            key = (row.get(s, s), row.get(p, p), row.get(o, o))
+            if key not in probes:
+                probes[key] = _pattern_matches(store, *key)
+            probe_reach[key] = probe_reach.get(key, 0) | reach
+            for pos, ext in probes[key][1]:
                 matched.add(pos)
-                next_rows.append(row | ext)
+                next_rows.append((row | ext, reach & seen_by[pos]))
         rows = next_rows
         if not rows:
             break
-    return _freeze(_apply_range(rows, q)), matched, examined
+    f, term = q.range_filter, q.patterns[0].object
+    bindings: dict[Binding, int] = {}
+    for row, reach in rows:
+        if f is None or _in_range(f, row.get(term, term)):
+            binding = tuple(sorted(row.items()))
+            bindings[binding] = bindings.get(binding, 0) | reach
+    return bindings, matched, [(probes[key][0], reach) for key, reach in probe_reach.items()]
 
 
-def _home_metrics(
-    store: TripleStore, plan: PartitionPlan, q: QueryPattern, home: int, cluster: _Pass
-) -> QueryMetrics:
-    """Cost of answering ``q`` from ``home``, given the cluster-wide pass.
+def _evaluate(
+    store: TripleStore, plan: PartitionPlan, q: QueryPattern, homes: Sequence[int]
+) -> tuple[frozenset[Binding], list[QueryMetrics]]:
+    """Cluster-wide bindings of ``q`` and its cost from each of ``homes``.
 
-    The home node answers from its visible triples; when those already
-    reproduce the cluster-wide bindings the query is local and costs only the
-    home scan. Otherwise every node whose data served a match is counted, and
-    the cluster candidates the home cannot see are added to the cost.
+    A home's own pass over its visible triples is the cluster pass restricted
+    to them, so it is read from the one pass: the home scans the visible
+    candidates of the probes sent by rows within its reach. When every
+    binding has such a row the query is local and costs that scan alone.
+    Otherwise every node whose data served a match is counted, and the
+    cluster candidates the home cannot see are added to the cost.
     """
-    if not 0 <= home < plan.m:
-        raise ValueError(f"home node {home} outside 0..{plan.m - 1}")
-    visible = plan.visible_positions(home)
-    bindings, matched, examined = cluster
-    local_bindings, _, local_examined = _propagate_eval(store, q, visible)
-    scanned = sum(map(len, local_examined))
-    locally_answered = local_bindings == bindings
-    if locally_answered:
-        nodes_touched = 1
-    else:
-        served = {home if visible[pos] else plan.owner_of(pos) for pos in matched}
-        nodes_touched = max(1, len(served))
-        for candidates in examined:
-            scanned += len(candidates) - sum(map(visible.__getitem__, candidates))
-    return QueryMetrics(
-        nodes_touched=nodes_touched,
-        locally_answered=locally_answered,
-        joins=len(q.patterns) - 1,
-        triples_scanned=scanned,
-        qet_proxy=scanned + HOP_PENALTY * (nodes_touched - 1),
-    )
+    for home in homes:
+        if not 0 <= home < plan.m:
+            raise ValueError(f"home node {home} outside 0..{plan.m - 1}")
+    q.validate()
+    seen_by = plan.seen_by
+    bindings, matched, probes = _propagate_eval(store, q, seen_by)
+    # candidates counted by probe reach, then position mask: a handful of pairs
+    counts: dict[int, Counter[int]] = {}
+    for candidates, reach in probes:
+        counts.setdefault(reach, Counter()).update(map(seen_by.__getitem__, candidates))
+    served_masks = set(map(seen_by.__getitem__, matched))
+    metrics = []
+    for home in homes:
+        bit = 1 << home
+        scanned = remote = 0
+        for reach, by_mask in counts.items():
+            for mask, n in by_mask.items():
+                if not mask & bit:
+                    remote += n
+                elif reach & bit:
+                    scanned += n
+        locally_answered = all(reach & bit for reach in bindings.values())
+        if locally_answered:
+            nodes_touched = 1
+        else:  # a position the home cannot see is unreplicated: one bit, its owner's
+            nodes_touched = len({home if mask & bit else mask.bit_length() - 1 for mask in served_masks})
+            scanned += remote
+        metrics.append(QueryMetrics(
+            nodes_touched=nodes_touched,
+            locally_answered=locally_answered,
+            joins=len(q.patterns) - 1,
+            triples_scanned=scanned,
+            qet_proxy=scanned + HOP_PENALTY * (nodes_touched - 1),
+        ))
+    return frozenset(bindings), metrics
 
 
 def evaluate_distributed(
@@ -313,9 +326,8 @@ def evaluate_distributed(
 
     Returned bindings are always the cluster-wide (reference-equal) bindings.
     """
-    q.validate()
-    cluster = _propagate_eval(store, q)
-    return QueryResult(cluster[0], _home_metrics(store, plan, q, home_node, cluster))
+    bindings, (metrics,) = _evaluate(store, plan, q, (home_node,))
+    return QueryResult(bindings, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +531,8 @@ def inc_report(
 
     ``policy`` picks the home node per query: "best" routes each query to the
     node needing the fewest touches (how a subject-aware router behaves),
-    "fixed" sends everything to ``home_node``. Each query's cluster-wide pass
-    runs once and is shared by every candidate home.
+    "fixed" sends everything to ``home_node``. Each query runs one
+    cluster-wide pass, and every candidate home's cost is read from it.
     """
     if policy not in ("best", "fixed"):
         raise ValueError(f"unknown home-node policy {policy!r}")
@@ -530,24 +542,12 @@ def inc_report(
     homes = range(plan.m) if policy == "best" else (home_node,)
     outcomes: list[QueryOutcome] = []
     for i, q in enumerate(workload):
-        q.validate()
-        cluster = _propagate_eval(store, q)
+        _, metrics = _evaluate(store, plan, q, homes)
         chosen_home, m = min(
-            ((node, _home_metrics(store, plan, q, node, cluster)) for node in homes),
+            zip(homes, metrics),
             key=lambda pair: (pair[1].nodes_touched, not pair[1].locally_answered, pair[0]),
         )
-        outcomes.append(
-            QueryOutcome(
-                index=i,
-                shape=q.shape,
-                home_node=chosen_home,
-                joins=m.joins,
-                nodes_touched=m.nodes_touched,
-                locally_answered=m.locally_answered,
-                triples_scanned=m.triples_scanned,
-                qet_proxy=m.qet_proxy,
-            )
-        )
+        outcomes.append(QueryOutcome(index=i, shape=q.shape, home_node=chosen_home, **vars(m)))
 
     count = len(outcomes)
     return IncReport(

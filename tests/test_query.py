@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import tripleshard.query as query_module
 from tripleshard.allocate import allocate
 from tripleshard.generator import generate_sensor_graph
 from tripleshard.partition import grow_fragments, top_subjects
@@ -169,6 +170,51 @@ def test_literal_twin_chain_matches_reference():
         assert result.metrics.qet_proxy == scanned + HOP_PENALTY
 
 
+def test_binding_with_chains_on_two_nodes_is_local_at_both():
+    # ?x=b, ?y=c has four derivations through the literal/resource twins;
+    # node 0 sees the resource chain whole, node 1 the literal one
+    store = _store(
+        ("a", "p", "b", False), ("a", "p", "b", True),
+        ("b", "q", "c", False), ("b", "q", "c", True),
+    )
+    plan = PartitionPlan(
+        fragment_masters=("a", "b"),
+        fragment_of=(0, 1, 0, 1),
+        node_of_fragment=(0, 1),
+        m=2,
+    )
+    for home in range(plan.m):
+        result = evaluate_distributed(store, plan, CHAIN, home_node=home)
+        assert _rows(result) == [{"?x": "b", "?y": "c"}]
+        assert result.metrics.locally_answered
+        assert result.metrics.nodes_touched == 1
+        assert result.metrics.triples_scanned == 2
+        assert result.metrics.qet_proxy == 2
+
+
+def test_probe_sent_only_from_unseen_rows_is_not_scanned_locally():
+    # home 0 sees the replicated (d,q,e) but not (a,p,d), so it never sends
+    # the (d,q,?y) probe itself: that probe is charged to it as a remote scan
+    # of nothing it cannot see, never as a local scan; the replica serves
+    # home 0 from home 0, so node 2, its owner, is not touched
+    store = _store(("a", "p", "b"), ("a", "p", "d"), ("b", "q", "c"), ("d", "q", "e"))
+    plan = PartitionPlan(
+        fragment_masters=("a", "a", "d"),
+        fragment_of=(0, 1, 0, 2),
+        node_of_fragment=(0, 1, 2),
+        m=3,
+        replicated=(3,),
+    )
+    assert plan.replicas == ((3,), (3,), ())
+    for home, scanned, nodes in ((0, 3, 2), (1, 4, 2), (2, 3, 3)):
+        result = evaluate_distributed(store, plan, CHAIN, home_node=home)
+        assert _rows(result) == [{"?x": "b", "?y": "c"}, {"?x": "d", "?y": "e"}]
+        assert not result.metrics.locally_answered
+        assert result.metrics.nodes_touched == nodes
+        assert result.metrics.triples_scanned == scanned
+        assert result.metrics.qet_proxy == scanned + HOP_PENALTY * (nodes - 1)
+
+
 def test_co_located_chain_is_local():
     store = _store(("a", "p", "b"), ("b", "q", "c"))
     plan = PartitionPlan(
@@ -209,6 +255,66 @@ def test_distributed_bindings_always_match_reference():
                     assert (
                         evaluate_distributed(store, use, q, home).bindings == reference
                     )
+
+
+def _random_plan(rng, store, k, m):
+    """A plan with no structure: random fragments, placement and replicas."""
+    return PartitionPlan(
+        fragment_masters=tuple(f"f{i}" for i in range(k)),
+        fragment_of=tuple(rng.randrange(k) for _ in range(store.n)),
+        node_of_fragment=tuple(rng.randrange(m) for _ in range(k)),
+        m=m,
+        replicated=tuple(sorted(rng.sample(range(store.n), rng.randint(0, store.n // 3)))),
+    )
+
+
+def test_home_metrics_match_a_pass_over_the_home_data_alone():
+    # oracle: a home's own pass is a whole evaluation of the sub-store of
+    # the triples it can see, on a one-node cluster
+    rng = random.Random(29)
+    for _ in range(6):
+        store = random_store(rng, rng.randint(40, 250))
+        grown = _grown_plan(store, min(4, len(store.subject_index)), 3)
+        _, replicated_plan = replicate(grown, compute_centrality(store), rng.uniform(0.3, 1.0), store)
+        plans = [grown, replicated_plan, round_robin_triple_plan(store, 3)]
+        plans += [_random_plan(rng, store, rng.randint(1, 6), rng.randint(1, 4)) for _ in range(2)]
+        workload = generate_workload(store, rng.randint(0, 999))
+        references = [evaluate_centralized(store, q).bindings for q in workload]
+        for plan in plans:
+            for home in range(plan.m):
+                visible = plan.visible_positions(home)
+                sub = TripleStore([t for pos, t in enumerate(store.triples) if visible[pos]])
+                one_node = PartitionPlan(("",), (0,) * sub.n, (0,), 1)
+                for q, reference in zip(workload, references):
+                    metrics = evaluate_distributed(store, plan, q, home).metrics
+                    local = evaluate_centralized(sub, q).bindings == reference
+                    assert metrics.locally_answered == local
+                    own = evaluate_distributed(sub, one_node, q, 0).metrics.triples_scanned
+                    if local:
+                        assert metrics.triples_scanned == own
+                    else:
+                        assert metrics.triples_scanned >= own
+
+
+def test_one_cluster_pass_per_query_whatever_the_node_count(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return propagate(*args)
+
+    propagate = query_module._propagate_eval
+    monkeypatch.setattr(query_module, "_propagate_eval", counted)
+    store = generate_sensor_graph(19, 6, 8)
+    workload = generate_workload(store, 6)
+    for m in (1, 2, 4):
+        plan = round_robin_triple_plan(store, m)
+        calls.clear()
+        inc_report(store, plan, workload, policy="best")
+        assert calls == workload
+        calls.clear()
+        evaluate_distributed(store, plan, workload[0], m - 1)
+        assert calls == workload[:1]
 
 
 def test_inc_report_picks_the_cheapest_home_per_query():
@@ -291,22 +397,33 @@ def test_fixed_policy_uses_requested_home():
     assert report.outcomes[0].home_node == 1
 
 
-def test_inc_report_validates_inputs():
+def _forbid_evaluation(monkeypatch):
+    def fail(*args):
+        raise AssertionError("query evaluated before its home node was checked")
+
+    monkeypatch.setattr(query_module, "_propagate_eval", fail)
+
+
+def test_inc_report_validates_inputs(monkeypatch):
     store = _store(("a", "p", "b"))
     plan = _grown_plan(store, 1, 1)
     with pytest.raises(ValueError):
         inc_report(store, plan, [], policy="best")
     with pytest.raises(ValueError):
         inc_report(store, plan, [CHAIN], policy="nearest")
-    with pytest.raises(ValueError):
-        inc_report(store, plan, [CHAIN], policy="fixed", home_node=plan.m)
+    _forbid_evaluation(monkeypatch)
+    for bad in (plan.m, -1):
+        with pytest.raises(ValueError):
+            inc_report(store, plan, [CHAIN], policy="fixed", home_node=bad)
 
 
-def test_home_node_bounds_checked():
+def test_home_node_bounds_checked(monkeypatch):
     store = _store(("a", "p", "b"))
     plan = _grown_plan(store, 1, 2)
-    with pytest.raises(ValueError):
-        evaluate_distributed(store, plan, CHAIN, home_node=5)
+    _forbid_evaluation(monkeypatch)
+    for bad in (5, plan.m, -1):
+        with pytest.raises(ValueError):
+            evaluate_distributed(store, plan, CHAIN, home_node=bad)
 
 
 # --- workload generation ----------------------------------------------------

@@ -173,8 +173,15 @@ def test_replicas_never_overlap_owned_data():
     table = compute_centrality(store)
     _, augmented = replicate(plan, table, 0.5, store)
     augmented.validate(store)
+    assert len(augmented.seen_by) == store.n
     for node_id in range(3):
         assert set(augmented.owned[node_id]).isdisjoint(augmented.replicas[node_id])
+        held = set(augmented.owned[node_id]) | set(augmented.replicas[node_id])
+        seen = {pos for pos, mask in enumerate(augmented.seen_by) if mask >> node_id & 1}
+        assert seen == held
         mask = augmented.visible_positions(node_id)
-        marked = {pos for pos in range(store.n) if mask[pos]}
-        assert marked == set(augmented.owned[node_id]) | set(augmented.replicas[node_id])
+        assert len(mask) == store.n
+        assert {pos for pos in range(store.n) if mask[pos]} == held
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            augmented.visible_positions(bad)
