@@ -1,8 +1,9 @@
 """Semantic-aware triple partitioning, balanced placement, partial replication,
 and a distributed-query cost simulator."""
 
-from .allocate import AllocationPlan, NodeAssignment, allocate
+from .allocate import allocate
 from .generator import generate_sensor_graph
+from .layout import Layout, build_layout
 from .partition import Fragment, PartitionResult, grow_fragments, subject_frequencies, top_subjects
 from .plan import PartitionPlan, PlanError, build_plan, round_robin_triple_plan
 from .query import (

@@ -1,10 +1,10 @@
-"""Command-line front end: generate, partition, allocate, replicate, evaluate,
-pipeline, and scale verbs.
+"""Command-line front end: generate, pipeline, evaluate and scale verbs.
 
-Configuration comes from an optional JSON file plus flag overrides; flags win.
-All artifacts (triple file, plan, centrality table, workload, reports) land in
-the chosen output locations, and repeated runs with the same configuration
-write byte-identical plan files.
+``pipeline`` builds a store's layout, answers a query workload against it and
+writes every artifact; ``evaluate`` replays a workload against its plan file,
+and ``scale`` re-runs it at growing data volumes. Configuration comes from an
+optional JSON file plus flag overrides; flags win. Repeated runs with the same
+configuration write byte-identical plan files.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .allocate import allocate
 from .generator import generate_sensor_graph
+from .layout import Layout, build_layout
 from .metrics import StageTimer
-from .partition import grow_fragments, top_subjects
-from .plan import PartitionPlan, build_plan
+from .plan import PartitionPlan
 from .query import (
     DEFAULT_WORKLOAD_COUNTS,
     generate_workload,
@@ -30,7 +29,7 @@ from .query import (
     workload_from_json,
     workload_to_json,
 )
-from .replicate import centrality_csv, compute_centrality, derive_threshold, replicate
+from .replicate import centrality_csv
 from .store import CsvMapping, TripleStore, ingest_csv, parse_ntriples, serialize_ntriples
 
 
@@ -43,8 +42,6 @@ class PipelineConfig:
     k: int = 5
     nodes: int = 3
     threshold: float | None = None  # None = derive from the data
-    strict_threshold: bool = False
-    single_pass: bool = False
     seed: int = 7
     workload_counts: tuple[int, ...] = DEFAULT_WORKLOAD_COUNTS
     out_dir: str = "out"
@@ -94,8 +91,6 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         "k": getattr(args, "k", None),
         "nodes": getattr(args, "nodes", None),
         "threshold": getattr(args, "threshold", None),
-        "strict_threshold": getattr(args, "strict_threshold", None),
-        "single_pass": getattr(args, "single_pass", None),
         "seed": getattr(args, "seed", None),
         "out_dir": getattr(args, "out", None),
     }
@@ -126,13 +121,7 @@ def load_store(config: PipelineConfig) -> TripleStore:
 @dataclass
 class PipelineOutcome:
     store: TripleStore
-    masters: list[str]
-    partition: object
-    plan: PartitionPlan
-    table: object
-    threshold: float
-    threshold_derived: bool
-    decision: object
+    layout: Layout
     workload: list
     report: object
     timer: StageTimer
@@ -144,38 +133,16 @@ def execute_pipeline(config: PipelineConfig) -> PipelineOutcome:
     timer = StageTimer()
     with timer.stage("ingest"):
         store = load_store(config)
-    with timer.stage("partition"):
-        masters = top_subjects(store, config.k)
-        partition = grow_fragments(store, masters, single_pass=config.single_pass)
-    with timer.stage("distribute"):
-        allocation = allocate([f.size for f in partition.fragments], config.nodes)
-        base_plan = build_plan(partition, allocation)
-        table = compute_centrality(store)
-        threshold = derive_threshold(table, store, masters, override=config.threshold)
-        decision, plan = replicate(
-            base_plan, table, threshold, store, strict=config.strict_threshold
-        )
+    layout = build_layout(store, config.k, config.nodes, config.threshold, timer)
     with timer.stage("evaluate"):
         workload = generate_workload(store, config.seed, config.workload_counts)
-        report = inc_report(store, plan, workload, policy="best")
-    return PipelineOutcome(
-        store=store,
-        masters=masters,
-        partition=partition,
-        plan=plan,
-        table=table,
-        threshold=threshold,
-        threshold_derived=config.threshold is None,
-        decision=decision,
-        workload=workload,
-        report=report,
-        timer=timer,
-    )
+        report = inc_report(store, layout.plan, workload, policy="best")
+    return PipelineOutcome(store, layout, workload, report, timer)
 
 
 def _report_text(config: PipelineConfig, outcome: PipelineOutcome) -> str:
-    store = outcome.store
-    loads = outcome.plan.node_loads()
+    store, layout = outcome.store, outcome.layout
+    loads = layout.plan.node_loads()
     lines = [
         "pipeline report",
         f"triples {store.n}, distinct subjects {len(store.subject_index)}, "
@@ -187,25 +154,25 @@ def _report_text(config: PipelineConfig, outcome: PipelineOutcome) -> str:
         lines.append(f"  {name:<10} {ms:10.1f}")
     lines.append("")
     lines.append("fragments (id, master, size)")
-    for f in outcome.partition.fragments:
+    for f in layout.partition.fragments:
         lines.append(f"  {f.id:>3}  {f.master_subject:<24} {f.size}")
-    lines.append(f"orphan triples: {outcome.partition.orphan_count}")
+    lines.append(f"orphan triples: {layout.partition.orphan_count}")
     lines.append("")
     lines.append("node loads (id, fragments, triples)")
-    for node_id, fids in enumerate(outcome.plan.node_fragments):
+    for node_id, fids in enumerate(layout.plan.node_fragments):
         lines.append(f"  {node_id:>3}  {list(fids)!r:<16} {loads[node_id]}")
     lines.append(f"load spread (max - min): {max(loads) - min(loads)}")
     lines.append("")
-    source = "derived" if outcome.threshold_derived else "override"
+    source = "derived" if config.threshold is None else "override"
     lines.append("replication")
-    lines.append(f"  threshold {outcome.threshold:.4f} ({source})")
+    lines.append(f"  threshold {layout.decision.threshold:.4f} ({source})")
     lines.append(
-        f"  predicates replicated: {len(outcome.decision.replicated_predicates)}"
-        f" of {len(outcome.table.values)}"
+        f"  predicates replicated: {len(layout.decision.replicated_predicates)}"
+        f" of {len(layout.table.values)}"
     )
     lines.append(
-        f"  triples replicated: {len(outcome.decision.replicated_positions)}"
-        f" (level {outcome.decision.replication_level:.4f})"
+        f"  triples replicated: {len(layout.decision.replicated_positions)}"
+        f" (level {layout.decision.replication_level:.4f})"
     )
     lines.append("")
     lines.append(f"query workload ({len(outcome.workload)} queries, policy best)")
@@ -214,7 +181,7 @@ def _report_text(config: PipelineConfig, outcome: PipelineOutcome) -> str:
 
 
 def _report_json(config: PipelineConfig, outcome: PipelineOutcome) -> str:
-    report = outcome.report
+    report, layout = outcome.report, outcome.layout
     data = {
         "triples": outcome.store.n,
         "k": config.k,
@@ -223,16 +190,16 @@ def _report_json(config: PipelineConfig, outcome: PipelineOutcome) -> str:
         "stages_ms": outcome.timer.stages_ms,
         "fragments": [
             {"id": f.id, "master": f.master_subject, "size": f.size}
-            for f in outcome.partition.fragments
+            for f in layout.partition.fragments
         ],
-        "orphanTriples": outcome.partition.orphan_count,
-        "nodeLoads": outcome.plan.node_loads(),
+        "orphanTriples": layout.partition.orphan_count,
+        "nodeLoads": layout.plan.node_loads(),
         "replication": {
-            "threshold": outcome.threshold,
-            "derived": outcome.threshold_derived,
-            "replicatedPredicates": sorted(outcome.decision.replicated_predicates),
-            "replicatedTriples": len(outcome.decision.replicated_positions),
-            "level": outcome.decision.replication_level,
+            "threshold": layout.decision.threshold,
+            "derived": config.threshold is None,
+            "replicatedPredicates": sorted(layout.decision.replicated_predicates),
+            "replicatedTriples": len(layout.decision.replicated_positions),
+            "level": layout.decision.replication_level,
         },
         "inc": {
             "fractionLocal": report.fraction_local,
@@ -251,8 +218,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineOutcome:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "triples.nt").write_text(serialize_ntriples(outcome.store))
-    (out / "plan.json").write_text(outcome.plan.to_json())
-    (out / "centrality.csv").write_text(centrality_csv(outcome.table))
+    (out / "plan.json").write_text(outcome.layout.plan.to_json())
+    (out / "centrality.csv").write_text(centrality_csv(outcome.layout.table))
     (out / "workload.json").write_text(workload_to_json(outcome.workload))
     (out / "inc_report.csv").write_text(inc_report_csv(outcome.report))
     (out / "report.json").write_text(_report_json(config, outcome))
@@ -299,7 +266,7 @@ def run_scaling(
                     {
                         "scale": scale,
                         "n": outcome.store.n,
-                        "replicatedTriples": len(outcome.decision.replicated_positions),
+                        "replicatedTriples": len(outcome.layout.decision.replicated_positions),
                         "fractionLocal": outcome.report.fraction_local,
                     }
                 )
@@ -334,69 +301,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_partition(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    store = load_store(config)
-    masters = top_subjects(store, config.k)
-    result = grow_fragments(store, masters, single_pass=config.single_pass)
-    data = {
-        "k": result.k,
-        "fragments": [
-            {"id": f.id, "master": f.master_subject, "tripleRefs": sorted(f.positions)}
-            for f in result.fragments
-        ],
-    }
-    out = Path(args.out or "fragments.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    sizes = ", ".join(str(f.size) for f in result.fragments)
-    print(f"partitioned {store.n} triples into {result.k} fragments (sizes {sizes}), "
-          f"{result.orphan_count} orphan triples; wrote {out}")
-    return 0
-
-
-def _build_full_plan(config: PipelineConfig, store: TripleStore):
-    masters = top_subjects(store, config.k)
-    partition = grow_fragments(store, masters, single_pass=config.single_pass)
-    allocation = allocate([f.size for f in partition.fragments], config.nodes)
-    return masters, partition, allocation, build_plan(partition, allocation)
-
-
-def cmd_allocate(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    store = load_store(config)
-    _, partition, allocation, plan = _build_full_plan(config, store)
-    out = Path(args.out or "plan.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(plan.to_json())
-    loads = ", ".join(str(n.load_triples) for n in allocation.nodes)
-    print(f"allocated {partition.k} fragments onto {config.nodes} nodes "
-          f"(loads {loads}); wrote {out}")
-    return 0
-
-
-def cmd_replicate(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    store = load_store(config)
-    masters, partition, allocation, base_plan = _build_full_plan(config, store)
-    table = compute_centrality(store)
-    threshold = derive_threshold(table, store, masters, override=config.threshold)
-    decision, plan = replicate(
-        base_plan, table, threshold, store, strict=config.strict_threshold
-    )
-    out = Path(args.out or "plan.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(plan.to_json())
-    if args.centrality_report:
-        report_path = Path(args.centrality_report)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(centrality_csv(table))
-    print(f"threshold {threshold:.4f}, replicated "
-          f"{len(decision.replicated_positions)} triples "
-          f"(level {decision.replication_level:.4f}); wrote {out}")
-    return 0
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = build_config(args)
     store = load_store(config)
@@ -405,7 +309,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.workload:
         workload = workload_from_json(Path(args.workload).read_text())
     else:
-        workload = generate_workload(store, config.seed)
+        workload = generate_workload(store, config.seed, config.workload_counts)
     report = inc_report(
         store, plan, workload, policy=args.policy, home_node=args.home
     )
@@ -437,7 +341,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_partition: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, with_layout: bool = True) -> None:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--input", help="triple (.nt) or tabular (.csv) input file")
     parser.add_argument("--sensors", type=int, help="generator: number of sensors")
@@ -445,14 +349,11 @@ def _add_common(parser: argparse.ArgumentParser, with_partition: bool = True) ->
         "--observations", type=int, help="generator: observations per sensor"
     )
     parser.add_argument("--seed", type=int, help="deterministic seed")
-    if with_partition:
+    if with_layout:
         parser.add_argument("--k", type=int, help="number of fragments")
+        parser.add_argument("--nodes", type=int, help="number of storage nodes")
         parser.add_argument(
-            "--single-pass",
-            action="store_true",
-            default=None,
-            dest="single_pass",
-            help="grow fragments with a single scoring pass instead of rounds",
+            "--threshold", type=float, help="replication threshold in (0, 1]"
         )
 
 
@@ -464,39 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic sensor graph")
-    _add_common(p, with_partition=False)
+    _add_common(p, with_layout=False)
     p.add_argument("--out", help="output triple file (default triples.nt)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("partition", help="build fragments from an input store")
-    _add_common(p)
-    p.add_argument("--out", help="fragments JSON (default fragments.json)")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("allocate", help="partition and place fragments on nodes")
-    _add_common(p)
-    p.add_argument("--nodes", type=int, help="number of storage nodes")
-    p.add_argument("--out", help="plan JSON (default plan.json)")
-    p.set_defaults(func=cmd_allocate)
-
-    p = sub.add_parser("replicate", help="build the full plan with replicas")
-    _add_common(p)
-    p.add_argument("--nodes", type=int, help="number of storage nodes")
-    p.add_argument("--threshold", type=float, help="replication threshold in (0, 1]")
-    p.add_argument(
-        "--strict-threshold",
-        action="store_true",
-        default=None,
-        dest="strict_threshold",
-        help="replicate only predicates strictly above the threshold",
-    )
-    p.add_argument("--centrality-report", help="also dump the centrality table CSV here")
-    p.add_argument("--out", help="plan JSON (default plan.json)")
-    p.set_defaults(func=cmd_replicate)
-
     p = sub.add_parser("evaluate", help="run a workload against an existing plan")
-    _add_common(p, with_partition=False)
-    p.add_argument("--plan", required=True, help="plan JSON produced by replicate/pipeline")
+    _add_common(p, with_layout=False)
+    p.add_argument("--plan", required=True, help="plan JSON written by pipeline")
     p.add_argument("--workload", help="workload JSON (default: generated from the store)")
     p.add_argument("--policy", choices=("best", "fixed"), default="best")
     p.add_argument("--home", type=int, default=0, help="home node for the fixed policy")
@@ -505,18 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run every stage and write all artifacts")
     _add_common(p)
-    p.add_argument("--nodes", type=int, help="number of storage nodes")
-    p.add_argument("--threshold", type=float, help="replication threshold in (0, 1]")
-    p.add_argument(
-        "--strict-threshold", action="store_true", default=None, dest="strict_threshold"
-    )
     p.add_argument("--out", help="output directory (default out)")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("scale", help="re-run the pipeline at growing data volumes")
     _add_common(p)
-    p.add_argument("--nodes", type=int, help="number of storage nodes")
-    p.add_argument("--threshold", type=float, help="replication threshold in (0, 1]")
     p.add_argument("--scales", default="1,2,3,4,5", help="comma-separated multipliers")
     p.add_argument("--repeats", type=int, default=1, help="timing repeats per scale")
     p.add_argument("--out", help="scale CSV (default scale.csv)")

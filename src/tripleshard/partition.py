@@ -15,7 +15,7 @@ sharing a subject always land in the same fragment.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .store import TripleStore
 
@@ -38,46 +38,27 @@ def top_subjects(store: TripleStore, k: int) -> list[str]:
     return [s for s, _ in ranked[:k]]
 
 
-@dataclass
-class Fragment:
+class Fragment(NamedTuple):
     id: int
     master_subject: str
-    positions: list[int] = field(default_factory=list)
-    # multiset of resource objects over member triples; literals never enter
-    object_frequency: Counter = field(default_factory=Counter)
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
+    size: int  # member triples
 
 
-@dataclass
-class PartitionResult:
-    fragments: list[Fragment]
-    k: int
+class PartitionResult(NamedTuple):
+    fragments: tuple[Fragment, ...]
+    fragment_of: tuple[int, ...]  # fragment id per store position
     orphan_count: int  # triples placed by the smallest-fragment fallback
 
 
-def _absorb(fragment: Fragment, store: TripleStore, positions: list[int]) -> None:
-    fragment.positions.extend(positions)
-    for pos in positions:
-        t = store.triples[pos]
-        if not t.object_is_literal:
-            fragment.object_frequency[t.object] += 1
-
-
-def grow_fragments(
-    store: TripleStore, masters: list[str], single_pass: bool = False
-) -> PartitionResult:
+def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
     """Grow one fragment per master until every triple is placed.
 
     Growth runs in rounds over the pending subject groups (first-appearance
     order). A group joins the fragment holding the most references to its
     subject, ties to the lowest fragment id, and the fragment's object counts
     update immediately so later groups see the new members. Rounds repeat
-    until a full pass assigns nothing; with ``single_pass`` only one pass
-    runs. Remaining groups are orphans: each is assigned, in order, to the
-    smallest fragment at that moment.
+    until a full pass assigns nothing. Remaining groups are orphans: each is
+    assigned, in order, to the smallest fragment at that moment.
     """
     if not masters:
         raise ValueError("at least one master subject is required")
@@ -87,36 +68,48 @@ def grow_fragments(
         if m not in store.subject_index:
             raise ValueError(f"master subject {m!r} has no triples in the store")
 
-    fragments = [Fragment(i, m) for i, m in enumerate(masters)]
-    for fragment in fragments:
-        _absorb(fragment, store, list(store.subject_index[fragment.master_subject]))
+    triples = store.triples
+    fragment_of = [0] * store.n
+    sizes = [0] * len(masters)
+    # multiset of resource objects per fragment; literals never enter
+    references = [Counter() for _ in masters]
+
+    def absorb(fid: int, positions) -> None:
+        sizes[fid] += len(positions)
+        counts = references[fid]
+        for pos in positions:
+            fragment_of[pos] = fid
+            t = triples[pos]
+            if not t.object_is_literal:
+                counts[t.object] += 1
+
+    for fid, master in enumerate(masters):
+        absorb(fid, store.subject_index[master])
 
     master_set = set(masters)
     pending: dict[str, list[int]] = {
-        s: list(ps) for s, ps in store.subject_index.items() if s not in master_set
+        s: ps for s, ps in store.subject_index.items() if s not in master_set
     }
 
-    while pending:
+    progressed = True
+    while pending and progressed:
         progressed = False
         for subject in list(pending):
             best_count = 0
-            best_fragment = None
-            for fragment in fragments:
-                c = fragment.object_frequency.get(subject, 0)
+            best_fid = None
+            for fid, counts in enumerate(references):
+                c = counts.get(subject, 0)
                 if c > best_count:
                     best_count = c
-                    best_fragment = fragment
-            if best_fragment is not None:
-                _absorb(best_fragment, store, pending.pop(subject))
+                    best_fid = fid
+            if best_fid is not None:
+                absorb(best_fid, pending.pop(subject))
                 progressed = True
-        if single_pass or not progressed:
-            break
 
     orphan_count = 0
-    for subject in list(pending):
-        target = min(fragments, key=lambda f: (f.size, f.id))
-        group = pending.pop(subject)
+    for group in pending.values():
         orphan_count += len(group)
-        _absorb(target, store, group)
+        absorb(min(range(len(sizes)), key=sizes.__getitem__), group)
 
-    return PartitionResult(fragments, len(masters), orphan_count)
+    fragments = tuple(Fragment(i, m, sizes[i]) for i, m in enumerate(masters))
+    return PartitionResult(fragments, tuple(fragment_of), orphan_count)

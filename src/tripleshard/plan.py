@@ -17,8 +17,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, islice
+from typing import Sequence
 
-from .allocate import AllocationPlan
 from .partition import PartitionResult
 from .store import TripleStore
 
@@ -127,7 +127,7 @@ class PartitionPlan:
         if not isinstance(data, dict) or data.get("version") != PLAN_FORMAT_VERSION:
             raise PlanError(
                 f"plan file is not version {PLAN_FORMAT_VERSION}; regenerate it with "
-                "'tripleshard replicate' or 'tripleshard pipeline'"
+                "'tripleshard pipeline'"
             )
         missing = [name for name in _FIELDS if name not in data]
         if missing:
@@ -145,21 +145,20 @@ class PartitionPlan:
             raise PlanError(f"fragment_of covers {len(self.fragment_of)} of {store.n} triples")
 
 
-def build_plan(partition: PartitionResult, allocation: AllocationPlan) -> PartitionPlan:
-    """Combine partitioning and allocation into a plan with nothing replicated."""
-    fragment_of = [None] * sum(f.size for f in partition.fragments)
-    for f in partition.fragments:
-        for pos in f.positions:
-            fragment_of[pos] = f.id
-    node_of_fragment = [None] * partition.k
-    for node in allocation.nodes:
-        for fid in node.fragment_ids:
-            node_of_fragment[fid] = node.node_id
+def build_plan(
+    partition: PartitionResult, allocation: Sequence[Sequence[int]]
+) -> PartitionPlan:
+    """Combine a partition and the fragment ids of each node (as ``allocate``
+    returns them) into a plan with nothing replicated."""
+    node_of_fragment = [None] * len(partition.fragments)
+    for node_id, fragment_ids in enumerate(allocation):
+        for fid in fragment_ids:
+            node_of_fragment[fid] = node_id
     return PartitionPlan(
         fragment_masters=[f.master_subject for f in partition.fragments],
-        fragment_of=fragment_of,
+        fragment_of=partition.fragment_of,
         node_of_fragment=node_of_fragment,
-        m=allocation.m,
+        m=len(allocation),
     )
 
 

@@ -80,20 +80,16 @@ def replicate(
     table: CentralityTable,
     threshold: float,
     store: TripleStore,
-    strict: bool = False,
 ) -> tuple[ReplicationDecision, PartitionPlan]:
     """Copy every qualifying triple to all nodes that do not own it.
 
     A triple qualifies when its predicate's centrality is at least the
-    threshold (strictly above it with ``strict``). Returns the decision
-    record and the plan with those triples replicated; the plan derives each
-    node's replicas, so owned copies are never duplicated onto their own node.
+    threshold. Returns the decision record and the plan with those triples
+    replicated; the plan derives each node's replicas, so owned copies are
+    never duplicated onto their own node.
     """
     _check_threshold(threshold)
-    if strict:
-        chosen = {p for p, c in table.values.items() if c > threshold}
-    else:
-        chosen = {p for p, c in table.values.items() if c >= threshold}
+    chosen = {p for p, c in table.values.items() if c >= threshold}
 
     replicated: set[int] = set()
     for predicate in chosen:

@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import random
 
+from tripleshard.allocate import allocate
+from tripleshard.partition import grow_fragments, top_subjects
+from tripleshard.plan import PartitionPlan, build_plan
 from tripleshard.store import Triple, TripleStore
+
+
+def grown_plan(store: TripleStore, k: int, m: int) -> PartitionPlan:
+    """The k-fragment plan on m nodes, before replication."""
+    partition = grow_fragments(store, top_subjects(store, k))
+    return build_plan(partition, allocate([f.size for f in partition.fragments], m))
 
 
 def random_store(rng: random.Random, n: int | None = None) -> TripleStore:

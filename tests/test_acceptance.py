@@ -3,6 +3,7 @@ PASS line with the measured values (run with -s to see them)."""
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from tripleshard.cli import PipelineConfig, run_pipeline, run_scaling
 from tripleshard.generator import generate_sensor_graph
 from tripleshard.metrics import linear_fit_r2
 from tripleshard.partition import grow_fragments, top_subjects
-from tripleshard.plan import build_plan, round_robin_triple_plan
+from tripleshard.plan import round_robin_triple_plan
 from tripleshard.query import (
     evaluate_centralized,
     evaluate_distributed,
@@ -24,6 +25,7 @@ from tripleshard.store import TripleStore
 from _helpers import (
     brute_force_centrality,
     brute_force_top_subjects,
+    grown_plan,
     random_store,
     round_robin_loads,
 )
@@ -59,13 +61,13 @@ def test_criterion_1_partition_completeness_and_cohesion(partition_runs):
     assert len(runs) == 200
     for store, result in runs:
         assert store.n <= 10_000
-        positions = sorted(p for f in result.fragments for p in f.positions)
-        assert positions == list(range(store.n)), "fragments must cover every triple exactly once"
+        assert len(result.fragment_of) == store.n, "fragments must cover every triple exactly once"
+        sizes = Counter({f.id: f.size for f in result.fragments})
+        assert Counter(result.fragment_of) == sizes, "fragment sizes must count their triples"
         home: dict[str, int] = {}
-        for f in result.fragments:
-            for pos in f.positions:
-                s = store.triples[pos].subject
-                assert home.setdefault(s, f.id) == f.id, "subject split across fragments"
+        for pos, fid in enumerate(result.fragment_of):
+            s = store.triples[pos].subject
+            assert home.setdefault(s, fid) == fid, "subject split across fragments"
     assert elapsed < 60.0, f"partitioning 200 stores took {elapsed:.1f}s"
     _ok(1, f"200 stores complete and cohesive in {elapsed:.1f}s")
 
@@ -89,7 +91,7 @@ def test_criterion_3_allocation_balance(partition_runs):
     for store, result in runs:
         sizes = [f.size for f in result.fragments]
         m = rng.randint(2, 6)
-        loads = [n.load_triples for n in allocate(sizes, m).nodes]
+        loads = [sum(sizes[fid] for fid in node) for node in allocate(sizes, m)]
         assert max(loads) - min(loads) <= max(sizes), "spread exceeds largest fragment"
         greedy_max = max(loads)
         rr_max = max(round_robin_loads(sizes, m))
@@ -144,8 +146,7 @@ def test_criterion_5_replication_monotone_and_linear():
 
 def test_criterion_6_distributed_equals_centralized():
     store = generate_sensor_graph(3, 12, 10)
-    partition = grow_fragments(store, top_subjects(store, 4))
-    bare = build_plan(partition, allocate([f.size for f in partition.fragments], 3))
+    bare = grown_plan(store, 4, 3)
     table = compute_centrality(store)
     _, replicated = replicate(bare, table, 0.51, store)
 
@@ -164,8 +165,7 @@ def test_criterion_6_distributed_equals_centralized():
 def test_criterion_7_locality_beats_round_robin():
     store = generate_sensor_graph(11, 30, 40)
     masters = top_subjects(store, 6)
-    partition = grow_fragments(store, masters)
-    bare = build_plan(partition, allocate([f.size for f in partition.fragments], 3))
+    bare = grown_plan(store, 6, 3)
     table = compute_centrality(store)
     threshold = derive_threshold(table, store, masters)
     _, plan = replicate(bare, table, threshold, store)
@@ -225,5 +225,5 @@ def test_criterion_9_pipeline_is_deterministic(tmp_path):
         right = (tmp_path / "b" / name).read_bytes()
         assert left == right, f"{name} differs between identical runs"
         identical.append(name)
-    assert a.plan.to_json() == b.plan.to_json()
+    assert a.layout.plan.to_json() == b.layout.plan.to_json()
     _ok(9, f"byte-identical artifacts across runs: {', '.join(identical)}")

@@ -7,23 +7,25 @@ from tripleshard.allocate import allocate
 from _helpers import round_robin_loads
 
 
+def _loads(sizes, nodes):
+    return [sum(sizes[fid] for fid in fragment_ids) for fragment_ids in nodes]
+
+
 def test_worked_example_two_nodes():
-    plan = allocate([10, 7, 5, 3], 2)
-    assert plan.nodes[0].fragment_ids == [0, 3]
-    assert plan.nodes[0].load_triples == 13
-    assert plan.nodes[1].fragment_ids == [1, 2]
-    assert plan.nodes[1].load_triples == 12
+    nodes = allocate([10, 7, 5, 3], 2)
+    assert nodes == ((0, 3), (1, 2))
+    assert _loads([10, 7, 5, 3], nodes) == [13, 12]
 
 
 def test_single_node_takes_everything():
-    plan = allocate([4, 1, 2], 1)
-    assert plan.nodes[0].fragment_ids == [0, 2, 1]
-    assert plan.nodes[0].load_triples == 7
+    nodes = allocate([4, 1, 2], 1)
+    assert nodes == ((0, 2, 1),)
+    assert _loads([4, 1, 2], nodes) == [7]
 
 
 def test_more_nodes_than_fragments_leaves_empty_nodes():
-    plan = allocate([4, 2], 4)
-    assert [n.load_triples for n in plan.nodes] == [4, 2, 0, 0]
+    nodes = allocate([4, 2], 4)
+    assert _loads([4, 2], nodes) == [4, 2, 0, 0]
 
 
 def test_zero_nodes_rejected():
@@ -37,9 +39,7 @@ def test_negative_size_rejected():
 
 
 def test_equal_sizes_tie_break_is_stable():
-    plan = allocate([5, 5, 5], 2)
-    assert plan.nodes[0].fragment_ids == [0, 2]
-    assert plan.nodes[1].fragment_ids == [1]
+    assert allocate([5, 5, 5], 2) == ((0, 2), (1,))
 
 
 def test_every_fragment_assigned_exactly_once():
@@ -47,11 +47,10 @@ def test_every_fragment_assigned_exactly_once():
     for _ in range(50):
         sizes = [rng.randint(0, 500) for _ in range(rng.randint(1, 40))]
         m = rng.randint(1, 8)
-        plan = allocate(sizes, m)
-        assigned = [fid for node in plan.nodes for fid in node.fragment_ids]
+        nodes = allocate(sizes, m)
+        assert len(nodes) == m
+        assigned = [fid for fragment_ids in nodes for fid in fragment_ids]
         assert sorted(assigned) == list(range(len(sizes)))
-        for node in plan.nodes:
-            assert node.load_triples == sum(sizes[f] for f in node.fragment_ids)
 
 
 def test_spread_bounded_by_largest_fragment():
@@ -59,7 +58,7 @@ def test_spread_bounded_by_largest_fragment():
     for _ in range(200):
         sizes = [rng.randint(1, 1000) for _ in range(rng.randint(1, 30))]
         m = rng.randint(1, 6)
-        loads = [n.load_triples for n in allocate(sizes, m).nodes]
+        loads = _loads(sizes, allocate(sizes, m))
         assert max(loads) - min(loads) <= max(sizes)
 
 
@@ -70,7 +69,7 @@ def test_greedy_not_worse_than_round_robin():
     for _ in range(trials):
         sizes = [rng.randint(1, 1000) for _ in range(rng.randint(2, 30))]
         m = rng.randint(2, 6)
-        greedy_max = max(n.load_triples for n in allocate(sizes, m).nodes)
+        greedy_max = max(_loads(sizes, allocate(sizes, m)))
         rr_max = max(round_robin_loads(sizes, m))
         if greedy_max <= rr_max:
             better_or_equal += 1
@@ -81,6 +80,4 @@ def test_greedy_not_worse_than_round_robin():
 def test_deterministic():
     rng = random.Random(43)
     sizes = [rng.randint(1, 100) for _ in range(20)]
-    a = allocate(sizes, 3)
-    b = allocate(sizes, 3)
-    assert [n.fragment_ids for n in a.nodes] == [n.fragment_ids for n in b.nodes]
+    assert allocate(sizes, 3) == allocate(sizes, 3)

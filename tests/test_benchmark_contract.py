@@ -1,0 +1,46 @@
+"""The benchmark in ``perfbench/`` calls the library by name and keeps its own
+copy of the layout sequence; these tests keep both in step with ``src/``.
+
+``perfbench/`` is imported read-only, the way its own scripts import each
+other: with its directory on ``sys.path``.
+"""
+
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+from tripleshard.layout import build_layout
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+tracing = import_module("tracing")
+workloads = import_module("workloads")
+
+
+def test_every_traced_name_resolves_where_the_tracer_patches_it():
+    for module, attr, _ in tracing.TRACED:
+        owner, name = tracing._owner(module, attr)
+        assert name in owner.__dict__, f"{module}.{attr}"
+
+
+def _sensor_store():
+    return workloads.m_store.parse_ntriples(workloads.sensor_text(1, 10, 20))
+
+
+def _linked_store():
+    return workloads.m_store.ingest_csv(workloads.linked_csv(1, 400), workloads.LINKED_MAPPING).store
+
+
+@pytest.mark.parametrize(
+    "make_store, k, threshold",
+    [(_sensor_store, 8, 0.65), (_linked_store, 16, None)],
+    ids=["sensor-fixed-threshold", "linked-derived-threshold"],
+)
+def test_benchmark_layout_matches_build_layout(make_store, k, threshold):
+    store = make_store()
+    bench = workloads.semantic_layout(store, k, threshold)
+    ours = build_layout(store, k, workloads.NODES, threshold)
+    assert bench.plan_json == ours.plan.to_json()
+    assert bench.partition.orphan_count == ours.partition.orphan_count
+    assert bench.decision.replicated_positions == ours.decision.replicated_positions

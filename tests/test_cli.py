@@ -17,55 +17,38 @@ def test_generate_writes_parseable_file(tmp_path, capsys):
     assert str(store.n) in capsys.readouterr().out
 
 
-def test_partition_verb_covers_store(tmp_path):
-    triples = tmp_path / "t.nt"
-    main(["generate", "--sensors", "5", "--observations", "6", "--seed", "3",
-          "--out", str(triples)])
-    out = tmp_path / "fragments.json"
-    rc = main(["partition", "--input", str(triples), "--k", "2", "--out", str(out)])
-    assert rc == 0
-    data = json.loads(out.read_text())
-    assert data["k"] == 2
-    store = parse_ntriples(triples.read_text())
-    positions = sorted(p for f in data["fragments"] for p in f["tripleRefs"])
-    assert positions == list(range(store.n))
-
-
-def test_replicate_verb_writes_valid_plan_and_centrality(tmp_path):
-    triples = tmp_path / "t.nt"
-    main(["generate", "--sensors", "6", "--observations", "8", "--seed", "4",
-          "--out", str(triples)])
-    plan_path = tmp_path / "plan.json"
-    report = tmp_path / "centrality.csv"
-    rc = main(["replicate", "--input", str(triples), "--k", "3", "--nodes", "3",
-               "--threshold", "0.65", "--out", str(plan_path),
-               "--centrality-report", str(report)])
-    assert rc == 0
-    store = parse_ntriples(triples.read_text())
-    plan = PartitionPlan.from_json(plan_path.read_text())
-    plan.validate(store)
-    assert report.read_text().startswith("predicate,distinctSubjects,edgeCount,centrality")
-
-
 def test_evaluate_verb_runs_saved_workload(tmp_path, capsys):
     triples = tmp_path / "t.nt"
     main(["generate", "--sensors", "6", "--observations", "8", "--seed", "4",
           "--out", str(triples)])
-    plan_path = tmp_path / "plan.json"
-    main(["replicate", "--input", str(triples), "--k", "3", "--nodes", "3",
-          "--threshold", "0.65", "--out", str(plan_path)])
     run_dir = tmp_path / "run"
     main(["pipeline", "--input", str(triples), "--k", "3", "--nodes", "3",
           "--threshold", "0.65", "--seed", "4", "--out", str(run_dir)])
     capsys.readouterr()
     csv_out = tmp_path / "inc.csv"
-    rc = main(["evaluate", "--input", str(triples), "--plan", str(plan_path),
+    rc = main(["evaluate", "--input", str(triples), "--plan", str(run_dir / "plan.json"),
                "--workload", str(run_dir / "workload.json"),
                "--seed", "4", "--out", str(csv_out)])
     assert rc == 0
     assert "local fraction" in capsys.readouterr().out
     header = csv_out.read_text().splitlines()[0]
     assert header.startswith("query,shape,homeNode")
+
+
+def test_evaluate_generates_the_configured_workload_counts(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "sensors": 6, "observations_per_sensor": 8, "k": 3, "nodes": 2, "seed": 5,
+        "workload_counts": [1, 0, 0, 0],
+    }))
+    run_dir = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(run_dir)]) == 0
+    csv_out = tmp_path / "inc.csv"
+    rc = main(["evaluate", "--config", str(config), "--plan", str(run_dir / "plan.json"),
+               "--out", str(csv_out)])
+    assert rc == 0
+    assert csv_out.read_text() == (run_dir / "inc_report.csv").read_text()
+    assert len(csv_out.read_text().splitlines()) == 2  # header and one query
 
 
 def test_pipeline_writes_all_artifacts(tmp_path):
@@ -81,6 +64,8 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     store = parse_ntriples((out / "triples.nt").read_text())
     plan = PartitionPlan.from_json((out / "plan.json").read_text())
     plan.validate(store)
+    centrality = (out / "centrality.csv").read_text()
+    assert centrality.startswith("predicate,distinctSubjects,edgeCount,centrality")
     report = json.loads((out / "report.json").read_text())
     assert report["triples"] == store.n
     assert set(report["stages_ms"]) == {"ingest", "partition", "distribute", "evaluate"}
@@ -122,6 +107,15 @@ def test_unknown_config_key_fails_with_message(tmp_path, capsys):
     assert "sensrs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["single_pass", "strict_threshold"])
+def test_removed_option_keys_are_unknown_config_keys(tmp_path, capsys, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: True}))
+    rc = main(["pipeline", "--config", str(config), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"unknown config keys in {config}: {key}" in capsys.readouterr().err
+
+
 def test_invalid_threshold_fails(tmp_path, capsys):
     rc = main(["pipeline", "--sensors", "4", "--observations", "5",
                "--threshold", "1.5", "--out", str(tmp_path / "x")])
@@ -130,7 +124,8 @@ def test_invalid_threshold_fails(tmp_path, capsys):
 
 
 def test_missing_input_file_fails(tmp_path, capsys):
-    rc = main(["partition", "--input", str(tmp_path / "absent.nt"), "--k", "2"])
+    rc = main(["pipeline", "--input", str(tmp_path / "absent.nt"), "--k", "2",
+               "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "absent.nt" in capsys.readouterr().err
 
@@ -145,11 +140,11 @@ def test_csv_input_through_config(tmp_path):
             "properties": [["hasTemp", "temp"], ["hasHumidity", "hum"]],
         },
     }))
-    out = tmp_path / "fragments.json"
-    rc = main(["partition", "--config", str(config), "--input", str(csv_file),
+    out = tmp_path / "run"
+    rc = main(["pipeline", "--config", str(config), "--input", str(csv_file),
                "--k", "2", "--out", str(out)])
     assert rc == 0
-    assert json.loads(out.read_text())["k"] == 2
+    assert PartitionPlan.from_json((out / "plan.json").read_text()).k == 2
 
 
 def test_scale_verb_writes_csv(tmp_path, capsys):
@@ -177,6 +172,6 @@ def test_run_pipeline_outcome_consistency(tmp_path):
         out_dir=str(tmp_path / "run"),
     )
     outcome = run_pipeline(config)
-    assert outcome.plan.k == 2
-    assert sum(outcome.plan.node_loads()) == outcome.store.n
+    assert outcome.layout.plan.k == 2
+    assert sum(outcome.layout.plan.node_loads()) == outcome.store.n
     assert 0.0 <= outcome.report.fraction_local <= 1.0

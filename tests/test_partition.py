@@ -1,6 +1,5 @@
 import random
 import statistics
-from collections import Counter
 
 import pytest
 
@@ -13,6 +12,11 @@ from _helpers import brute_force_top_subjects, random_store
 
 def _store(*rows):
     return TripleStore([Triple(*row) for row in rows])
+
+
+def _members(result, fragment_id):
+    """Sorted positions of one fragment's triples."""
+    return [pos for pos, fid in enumerate(result.fragment_of) if fid == fragment_id]
 
 
 # --- subject ranking -------------------------------------------------------
@@ -58,41 +62,41 @@ def test_ranking_matches_brute_force_oracle():
 def test_growth_follows_object_reference():
     store = _store(("a", "p", "b"), ("b", "p", "c"))
     result = grow_fragments(store, ["a"])
-    assert sorted(result.fragments[0].positions) == [0, 1]
+    assert _members(result, 0) == [0, 1]
     assert result.orphan_count == 0
 
 
 def test_unreferenced_group_is_orphaned_to_smallest_fragment():
     store = _store(("a", "p", "x"), ("c", "p", "y"))
     result = grow_fragments(store, ["a"])
-    assert sorted(result.fragments[0].positions) == [0, 1]
+    assert _members(result, 0) == [0, 1]
     assert result.orphan_count == 1
 
 
 def test_every_subject_a_master_means_no_orphans():
     store = _store(("a", "p", "x"), ("c", "p", "y"))
     result = grow_fragments(store, ["a", "c"])
-    assert [f.positions for f in result.fragments] == [[0], [1]]
+    assert [_members(result, f.id) for f in result.fragments] == [[0], [1]]
     assert result.orphan_count == 0
 
 
 def test_whole_subject_group_moves_together():
     store = _store(("a", "p", "b"), ("b", "p", "c"), ("b", "q", "d"), ("x", "r", "y"))
     result = grow_fragments(store, ["a", "x"])
-    assert sorted(result.fragments[0].positions) == [0, 1, 2]
-    assert sorted(result.fragments[1].positions) == [3]
+    assert _members(result, 0) == [0, 1, 2]
+    assert _members(result, 1) == [3]
 
 
 def test_score_tie_goes_to_lowest_fragment_id():
     store = _store(("m1", "p", "s"), ("m2", "q", "s"), ("s", "p", "z"))
     result = grow_fragments(store, ["m1", "m2"])
-    assert 2 in result.fragments[0].positions
+    assert 2 in _members(result, 0)
 
 
 def test_higher_reference_count_wins():
     store = _store(("m1", "p", "s"), ("m2", "q", "s"), ("m2", "r", "s"), ("s", "p", "z"))
     result = grow_fragments(store, ["m1", "m2"])
-    assert 3 in result.fragments[1].positions
+    assert 3 in _members(result, 1)
 
 
 def test_orphan_lands_on_smallest_fragment():
@@ -103,7 +107,7 @@ def test_orphan_lands_on_smallest_fragment():
         ("c", "p", "l4", True),
     )
     result = grow_fragments(store, ["a", "b"])
-    assert 3 in result.fragments[1].positions
+    assert 3 in _members(result, 1)
     assert result.orphan_count == 1
 
 
@@ -111,13 +115,7 @@ def test_rounds_reach_chains_listed_in_reverse_order():
     store = _store(("c", "p", "d"), ("b", "p", "c"), ("a", "p", "b"))
     fixpoint = grow_fragments(store, ["a"])
     assert fixpoint.orphan_count == 0
-    assert sorted(fixpoint.fragments[0].positions) == [0, 1, 2]
-
-    single = grow_fragments(store, ["a"], single_pass=True)
-    # same membership (the orphan fallback also lands on fragment 0) but the
-    # chain tail was placed by fallback, not by scoring
-    assert sorted(single.fragments[0].positions) == [0, 1, 2]
-    assert single.orphan_count == 1
+    assert _members(fixpoint, 0) == [0, 1, 2]
 
 
 def test_master_validation():
@@ -140,29 +138,15 @@ def test_completeness_and_cohesion_randomized():
 
         seen: list[int] = []
         for f in result.fragments:
-            seen.extend(f.positions)
+            members = _members(result, f.id)
+            assert f.size == len(members)
+            seen.extend(members)
         assert sorted(seen) == list(range(store.n))
 
         subject_home: dict[str, int] = {}
-        for f in result.fragments:
-            for pos in f.positions:
-                s = store.triples[pos].subject
-                assert subject_home.setdefault(s, f.id) == f.id
-
-
-def test_object_frequency_matches_membership():
-    rng = random.Random(17)
-    for _ in range(10):
-        store = random_store(rng, rng.randint(40, 300))
-        k = min(3, len(store.subject_index))
-        result = grow_fragments(store, top_subjects(store, k))
-        for f in result.fragments:
-            expected = Counter(
-                store.triples[p].object
-                for p in f.positions
-                if not store.triples[p].object_is_literal
-            )
-            assert f.object_frequency == expected
+        for pos, fid in enumerate(result.fragment_of):
+            s = store.triples[pos].subject
+            assert subject_home.setdefault(s, fid) == fid
 
 
 def test_growth_is_deterministic():
@@ -171,7 +155,7 @@ def test_growth_is_deterministic():
     masters = top_subjects(store, 4)
     a = grow_fragments(store, masters)
     b = grow_fragments(store, masters)
-    assert [f.positions for f in a.fragments] == [f.positions for f in b.fragments]
+    assert a.fragment_of == b.fragment_of
     assert a.orphan_count == b.orphan_count
 
 

@@ -3,24 +3,19 @@ from dataclasses import replace
 
 import pytest
 
-from tripleshard.allocate import allocate
-from tripleshard.partition import grow_fragments, top_subjects
-from tripleshard.plan import PartitionPlan, PlanError, build_plan, round_robin_triple_plan
+from tripleshard.plan import PartitionPlan, PlanError, round_robin_triple_plan
 from tripleshard.store import Triple, TripleStore
+
+from _helpers import grown_plan
 
 
 def _store(n=6):
     return TripleStore([Triple(f"s{i % 3}", "p", f"o{i}") for i in range(n)])
 
 
-def _plan(store, k=2, m=2):
-    partition = grow_fragments(store, top_subjects(store, k))
-    return build_plan(partition, allocate([f.size for f in partition.fragments], m))
-
-
 def test_json_round_trip():
     store = _store()
-    plan = replace(_plan(store), replicated=(1, 3))
+    plan = replace(grown_plan(store, 2, 2), replicated=(1, 3))
     again = PartitionPlan.from_json(plan.to_json())
     assert again == plan
     assert again.to_json() == plan.to_json()
@@ -30,7 +25,7 @@ def test_json_round_trip():
 
 def test_owner_lookup_covers_every_position():
     store = _store()
-    plan = _plan(store)
+    plan = grown_plan(store, 2, 2)
     for pos in range(store.n):
         owner = plan.owner_of(pos)
         assert pos in plan.owned[owner]
@@ -38,24 +33,36 @@ def test_owner_lookup_covers_every_position():
 
 def test_validate_accepts_built_plans():
     store = _store(12)
-    _plan(store, 3, 2).validate(store)
+    grown_plan(store, 3, 2).validate(store)
+
+
+def test_surplus_nodes_stay_empty_and_round_trip():
+    store = _store()
+    plan = grown_plan(store, 2, 5)  # build_plan(partition, allocate(sizes, 5))
+    assert plan.m == 5
+    assert plan.node_loads()[2:] == [0, 0, 0]
+    assert sum(plan.node_loads()) == store.n
+    plan.validate(store)
+    again = PartitionPlan.from_json(plan.to_json())
+    assert again == plan
+    assert again.to_json() == plan.to_json()
 
 
 def test_validate_rejects_incomplete_coverage():
-    plan = _plan(_store(6))
+    plan = grown_plan(_store(6), 2, 2)
     with pytest.raises(PlanError, match="fragment_of"):
         plan.validate(_store(7))
 
 
 def test_validate_rejects_unassigned_fragment():
-    data = json.loads(_plan(_store()).to_json())
+    data = json.loads(grown_plan(_store(), 2, 2).to_json())
     data["node_of_fragment"] = data["node_of_fragment"][:1]
     with pytest.raises(PlanError, match="node_of_fragment"):
         PartitionPlan.from_json(json.dumps(data))
 
 
 def test_from_json_requires_contiguous_ids():
-    plan = _plan(_store())
+    plan = grown_plan(_store(), 2, 2)
     for field, value in (("fragment_of", (0, 1, 2, 0, 1, 0)), ("node_of_fragment", (0, 2))):
         data = json.loads(plan.to_json())
         data[field] = value
@@ -63,7 +70,7 @@ def test_from_json_requires_contiguous_ids():
             PartitionPlan.from_json(json.dumps(data))
 
 
-_V2_FILE = json.loads(replace(_plan(_store()), replicated=(1, 3)).to_json())
+_V2_FILE = json.loads(replace(grown_plan(_store(), 2, 2), replicated=(1, 3)).to_json())
 
 # the format before version 2, as the loader last accepted it
 _V1_FILE = {

@@ -4,10 +4,9 @@ from dataclasses import replace
 import pytest
 
 import tripleshard.query as query_module
-from tripleshard.allocate import allocate
 from tripleshard.generator import generate_sensor_graph
-from tripleshard.partition import grow_fragments, top_subjects
-from tripleshard.plan import PartitionPlan, build_plan, round_robin_triple_plan
+from tripleshard.partition import top_subjects
+from tripleshard.plan import PartitionPlan, round_robin_triple_plan
 from tripleshard.query import (
     DEFAULT_WORKLOAD_COUNTS,
     HOP_PENALTY,
@@ -24,7 +23,7 @@ from tripleshard.query import (
 from tripleshard.replicate import compute_centrality, replicate
 from tripleshard.store import Triple, TripleStore
 
-from _helpers import random_store
+from _helpers import grown_plan, random_store
 
 
 def _store(*rows):
@@ -33,11 +32,6 @@ def _store(*rows):
 
 def _rows(result):
     return result.rows()
-
-
-def _grown_plan(store, k, m):
-    partition = grow_fragments(store, top_subjects(store, k))
-    return build_plan(partition, allocate([f.size for f in partition.fragments], m))
 
 
 # --- centralized reference route -------------------------------------------
@@ -243,7 +237,7 @@ def test_distributed_bindings_always_match_reference():
     for _ in range(15):
         store = random_store(rng, rng.randint(40, 300))
         k = min(3, len(store.subject_index))
-        plan = _grown_plan(store, k, 3)
+        plan = grown_plan(store, k, 3)
         table = compute_centrality(store)
         threshold = rng.uniform(0.2, 1.0)
         _, replicated_plan = replicate(plan, table, threshold, store)
@@ -274,7 +268,7 @@ def test_home_metrics_match_a_pass_over_the_home_data_alone():
     rng = random.Random(29)
     for _ in range(6):
         store = random_store(rng, rng.randint(40, 250))
-        grown = _grown_plan(store, min(4, len(store.subject_index)), 3)
+        grown = grown_plan(store, min(4, len(store.subject_index)), 3)
         _, replicated_plan = replicate(grown, compute_centrality(store), rng.uniform(0.3, 1.0), store)
         plans = [grown, replicated_plan, round_robin_triple_plan(store, 3)]
         plans += [_random_plan(rng, store, rng.randint(1, 6), rng.randint(1, 4)) for _ in range(2)]
@@ -319,7 +313,7 @@ def test_one_cluster_pass_per_query_whatever_the_node_count(monkeypatch):
 
 def test_inc_report_picks_the_cheapest_home_per_query():
     store = generate_sensor_graph(17, 12, 14)
-    grown = _grown_plan(store, 4, 3)
+    grown = grown_plan(store, 4, 3)
     _, replicated_plan = replicate(grown, compute_centrality(store), 0.6, store)
     workload = generate_workload(store, 3)
     for plan in (replicated_plan, round_robin_triple_plan(store, 3)):
@@ -341,7 +335,7 @@ def test_inc_report_picks_the_cheapest_home_per_query():
 def test_star_on_master_subject_is_local_under_best_routing():
     store = generate_sensor_graph(3, 8, 10)
     masters = top_subjects(store, 3)
-    plan = _grown_plan(store, 3, 3)
+    plan = grown_plan(store, 3, 3)
     centre = masters[0]
     predicates = []
     for pos in store.subject_index[centre]:
@@ -359,7 +353,7 @@ def test_star_on_master_subject_is_local_under_best_routing():
 
 def test_adding_replicas_never_reduces_locality():
     store = generate_sensor_graph(11, 10, 12)
-    plan = _grown_plan(store, 4, 3)
+    plan = grown_plan(store, 4, 3)
     table = compute_centrality(store)
     workload = generate_workload(store, 5)
     base = inc_report(store, plan, workload, policy="best").fraction_local
@@ -373,7 +367,7 @@ def test_adding_replicas_never_reduces_locality():
 
 def test_grown_plan_beats_round_robin_without_any_replicas():
     store = generate_sensor_graph(23, 20, 24)
-    plan = _grown_plan(store, 6, 3)
+    plan = grown_plan(store, 6, 3)
     rr = round_robin_triple_plan(store, 3)
     workload = generate_workload(store, 9)
     grown_local = inc_report(store, plan, workload, policy="best").fraction_local
@@ -384,7 +378,7 @@ def test_grown_plan_beats_round_robin_without_any_replicas():
 
 def test_single_node_cluster_is_always_local():
     store = generate_sensor_graph(13, 6, 8)
-    plan = _grown_plan(store, 2, 1)
+    plan = grown_plan(store, 2, 1)
     report = inc_report(store, plan, generate_workload(store, 2), policy="best")
     assert report.fraction_local == 1.0
     assert report.mean_nodes_touched == 1.0
@@ -406,7 +400,7 @@ def _forbid_evaluation(monkeypatch):
 
 def test_inc_report_validates_inputs(monkeypatch):
     store = _store(("a", "p", "b"))
-    plan = _grown_plan(store, 1, 1)
+    plan = grown_plan(store, 1, 1)
     with pytest.raises(ValueError):
         inc_report(store, plan, [], policy="best")
     with pytest.raises(ValueError):
@@ -419,7 +413,7 @@ def test_inc_report_validates_inputs(monkeypatch):
 
 def test_home_node_bounds_checked(monkeypatch):
     store = _store(("a", "p", "b"))
-    plan = _grown_plan(store, 1, 2)
+    plan = grown_plan(store, 1, 2)
     _forbid_evaluation(monkeypatch)
     for bad in (5, plan.m, -1):
         with pytest.raises(ValueError):
@@ -454,7 +448,7 @@ def test_workload_is_deterministic():
 
 def test_workload_joins_equal_patterns_minus_one():
     store = generate_sensor_graph(6, 8, 10)
-    plan = _grown_plan(store, 3, 3)
+    plan = grown_plan(store, 3, 3)
     for q in generate_workload(store, 1):
         result = evaluate_distributed(store, plan, q, 0)
         assert result.metrics.joins == len(q.patterns) - 1

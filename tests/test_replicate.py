@@ -2,9 +2,6 @@ import random
 
 import pytest
 
-from tripleshard.allocate import allocate
-from tripleshard.partition import grow_fragments, top_subjects
-from tripleshard.plan import build_plan
 from tripleshard.replicate import (
     centrality_csv,
     compute_centrality,
@@ -13,16 +10,11 @@ from tripleshard.replicate import (
 )
 from tripleshard.store import Triple, TripleStore
 
-from _helpers import brute_force_centrality, random_store
+from _helpers import brute_force_centrality, grown_plan, random_store
 
 
 def _store(*rows):
     return TripleStore([Triple(*row) for row in rows])
-
-
-def _plan_for(store, k, m):
-    partition = grow_fragments(store, top_subjects(store, k))
-    return build_plan(partition, allocate([f.size for f in partition.fragments], m))
 
 
 # --- centrality ------------------------------------------------------------
@@ -104,7 +96,7 @@ def test_threshold_needs_top_subjects_with_triples():
 
 def test_threshold_above_all_centralities_replicates_nothing():
     store = _store(("a", "p", "x"), ("a", "p", "y"))
-    plan = _plan_for(store, 1, 2)
+    plan = grown_plan(store, 1, 2)
     table = compute_centrality(store)
     decision, augmented = replicate(plan, table, 1.0, store)
     assert decision.replicated_positions == frozenset()
@@ -115,7 +107,7 @@ def test_threshold_above_all_centralities_replicates_nothing():
 def test_threshold_at_minimum_replicates_everything():
     rng = random.Random(59)
     store = random_store(rng, 150)
-    plan = _plan_for(store, 2, 3)
+    plan = grown_plan(store, 2, 3)
     table = compute_centrality(store)
     decision, augmented = replicate(plan, table, min(table.values.values()), store)
     assert decision.replication_level == 1.0
@@ -125,19 +117,17 @@ def test_threshold_at_minimum_replicates_everything():
         assert owned.isdisjoint(augmented.replicas[node_id])
 
 
-def test_strict_mode_excludes_the_boundary():
+def test_threshold_boundary_is_inclusive():
     store = _store(("a", "p", "x"), ("a", "p", "y"), ("b", "q", "z"))
-    plan = _plan_for(store, 1, 2)
+    plan = grown_plan(store, 1, 2)
     table = compute_centrality(store)  # cen(p)=0.5, cen(q)=1.0
     inclusive, _ = replicate(plan, table, 0.5, store)
-    strict, _ = replicate(plan, table, 0.5, store, strict=True)
     assert inclusive.replicated_predicates == {"p", "q"}
-    assert strict.replicated_predicates == {"q"}
 
 
 def test_replication_level_is_fraction_of_store():
     store = _store(("a", "p", "x"), ("a", "p", "y"), ("b", "q", "z"))
-    plan = _plan_for(store, 1, 2)
+    plan = grown_plan(store, 1, 2)
     table = compute_centrality(store)
     decision, _ = replicate(plan, table, 0.8, store)
     assert decision.replicated_predicates == {"q"}
@@ -146,7 +136,7 @@ def test_replication_level_is_fraction_of_store():
 
 def test_invalid_threshold_rejected():
     store = _store(("a", "p", "x"))
-    plan = _plan_for(store, 1, 1)
+    plan = grown_plan(store, 1, 1)
     table = compute_centrality(store)
     for bad in (0.0, 1.0001, -1):
         with pytest.raises(ValueError):
@@ -157,7 +147,7 @@ def test_lower_threshold_never_replicates_less():
     rng = random.Random(61)
     for _ in range(20):
         store = random_store(rng, rng.randint(50, 400))
-        plan = _plan_for(store, min(2, len(store.subject_index)), 3)
+        plan = grown_plan(store, min(2, len(store.subject_index)), 3)
         table = compute_centrality(store)
         t1, t2 = sorted((rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)))
         low, _ = replicate(plan, table, t1, store)
@@ -169,7 +159,7 @@ def test_lower_threshold_never_replicates_less():
 def test_replicas_never_overlap_owned_data():
     rng = random.Random(67)
     store = random_store(rng, 300)
-    plan = _plan_for(store, 3, 3)
+    plan = grown_plan(store, 3, 3)
     table = compute_centrality(store)
     _, augmented = replicate(plan, table, 0.5, store)
     augmented.validate(store)
