@@ -71,32 +71,31 @@ def load_config_file(path: str) -> dict:
     return data
 
 
+def _csv_mapping(data: object) -> CsvMapping:
+    """The config file's ``csv_mapping`` entry; a malformed one names its key."""
+    if not isinstance(data, dict) or not isinstance(data.get("subject_column"), str):
+        raise ValueError("csv_mapping must be an object with a string 'subject_column'")
+    subject, properties = data["subject_column"], data.get("properties")
+    if not isinstance(properties, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+        for pair in properties
+    ):
+        raise ValueError("csv_mapping 'properties' must be a list of [predicate, column] pairs")
+    resources = frozenset(data.get("resource_columns", ()))
+    return CsvMapping(subject, tuple(map(tuple, properties)), resources)
+
+
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     data = load_config_file(args.config) if getattr(args, "config", None) else {}
-    mapping = data.pop("csv_mapping", None)
-    if mapping is not None:
-        mapping = CsvMapping(
-            subject_column=mapping["subject_column"],
-            properties=tuple((p, c) for p, c in mapping["properties"]),
-            resource_columns=frozenset(mapping.get("resource_columns", ())),
-        )
+    if data.get("csv_mapping") is not None:
+        data["csv_mapping"] = _csv_mapping(data["csv_mapping"])
     if "workload_counts" in data:
         data["workload_counts"] = tuple(data["workload_counts"])
-    config = replace(PipelineConfig(), csv_mapping=mapping, **data)
-
-    overrides = {
-        "input_path": getattr(args, "input", None),
-        "sensors": getattr(args, "sensors", None),
-        "observations_per_sensor": getattr(args, "observations", None),
-        "k": getattr(args, "k", None),
-        "nodes": getattr(args, "nodes", None),
-        "threshold": getattr(args, "threshold", None),
-        "seed": getattr(args, "seed", None),
-        "out_dir": getattr(args, "out", None),
-    }
-    config = replace(
-        config, **{name: value for name, value in overrides.items() if value is not None}
-    )
+    for field in fields(PipelineConfig):  # flags store under the field they set; they win
+        value = getattr(args, field.name, None)
+        if value is not None:
+            data[field.name] = value
+    config = PipelineConfig(**data)
     config.validate()
     return config
 
@@ -341,12 +340,18 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_layout: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, with_input: bool = True, with_layout: bool = True
+) -> None:
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--input", help="triple (.nt) or tabular (.csv) input file")
+    if with_input:
+        parser.add_argument(
+            "--input", dest="input_path", help="triple (.nt) or tabular (.csv) input file"
+        )
     parser.add_argument("--sensors", type=int, help="generator: number of sensors")
     parser.add_argument(
-        "--observations", type=int, help="generator: observations per sensor"
+        "--observations", dest="observations_per_sensor", type=int,
+        help="generator: observations per sensor",
     )
     parser.add_argument("--seed", type=int, help="deterministic seed")
     if with_layout:
@@ -365,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic sensor graph")
-    _add_common(p, with_layout=False)
+    _add_common(p, with_input=False, with_layout=False)
     p.add_argument("--out", help="output triple file (default triples.nt)")
     p.set_defaults(func=cmd_generate)
 
@@ -380,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run every stage and write all artifacts")
     _add_common(p)
-    p.add_argument("--out", help="output directory (default out)")
+    p.add_argument("--out", dest="out_dir", help="output directory (default out)")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("scale", help="re-run the pipeline at growing data volumes")

@@ -336,15 +336,6 @@ def evaluate_distributed(
 DEFAULT_WORKLOAD_COUNTS = (3, 4, 3, 2)
 
 
-def _subject_predicates(store: TripleStore, subject: str) -> list[str]:
-    seen: list[str] = []
-    for pos in store.subject_index.get(subject, ()):
-        p = store.triples[pos].predicate
-        if p not in seen:
-            seen.append(p)
-    return seen
-
-
 def generate_workload(
     store: TripleStore, seed: int, counts: Sequence[int] = DEFAULT_WORKLOAD_COUNTS
 ) -> list[QueryPattern]:
@@ -364,41 +355,43 @@ def generate_workload(
 
     rng = random.Random(seed)
 
-    # subjects whose triples link to another subject's group
+    # one pass: each subject's distinct predicates in first-seen order, and
+    # its links, the triples whose object heads another subject's group
+    triples, subject_index = store.triples, store.subject_index
+    predicates: dict[str, tuple[str, ...]] = {}
     link_roots: dict[str, list[tuple[str, str]]] = {}
-    for s, positions in store.subject_index.items():
-        links = [
-            (store.triples[pos].predicate, store.triples[pos].object)
-            for pos in positions
-            if not store.triples[pos].object_is_literal
-            and store.triples[pos].object in store.subject_index
-            and store.triples[pos].object != s
-        ]
-        if links:
-            link_roots[s] = links
-    star_centres = [
-        s for s in store.subject_index if len(_subject_predicates(store, s)) >= 2
-    ]
-    numeric_values: dict[str, list[float]] = {}
+    for s, positions in subject_index.items():
+        seen: dict[str, None] = {}
+        for pos in positions:
+            _, p, o, literal = triples[pos]
+            seen[p] = None
+            if not literal and o != s and o in subject_index:
+                link_roots.setdefault(s, []).append((p, o))
+        predicates[s] = tuple(seen)
+    linear_roots = list(link_roots)
+    star_centres = [s for s, ps in predicates.items() if len(ps) >= 2]
+    snowflake_roots = [s for s in link_roots if len(predicates[s]) >= 2]
+    range_bounds: list[tuple[str, float, float]] = []  # (predicate, quartiles) by name
     if counts[2]:  # only range queries read them
-        for predicate, positions in store.predicate_index.items():
+        for predicate, positions in sorted(store.predicate_index.items()):
             vals = []
             for pos in positions:
                 try:
-                    vals.append(float(store.triples[pos].object))
+                    vals.append(float(triples[pos].object))
                 except ValueError:
                     continue
             if vals:
-                numeric_values[predicate] = sorted(vals)
+                vals.sort()
+                range_bounds.append((predicate, vals[len(vals) // 4], vals[(3 * len(vals)) // 4]))
 
-    first_subject = store.triples[0].subject
-    fallback_predicate = store.triples[0].predicate
+    first_subject = triples[0].subject
+    fallback_predicate = triples[0].predicate
 
     def make_linear() -> QueryPattern:
-        if link_roots:
-            root = rng.choice(list(link_roots))
+        if linear_roots:
+            root = rng.choice(linear_roots)
             predicate, obj = rng.choice(link_roots[root])
-            second = rng.choice(_subject_predicates(store, obj))
+            second = rng.choice(predicates[obj])
             patterns = (
                 TriplePattern(root, predicate, "?h1"),
                 TriplePattern("?h1", second, "?h2"),
@@ -409,19 +402,16 @@ def generate_workload(
 
     def make_star() -> QueryPattern:
         centre = rng.choice(star_centres) if star_centres else first_subject
-        predicates = _subject_predicates(store, centre)
-        legs = rng.sample(predicates, min(len(predicates), rng.randint(2, 3)))
+        options = predicates[centre]
+        legs = rng.sample(options, min(len(options), rng.randint(2, 3)))
         patterns = tuple(
             TriplePattern(centre, p, f"?v{i}") for i, p in enumerate(legs)
         )
         return QueryPattern("star", patterns)
 
     def make_range() -> QueryPattern:
-        if numeric_values:
-            predicate = rng.choice(sorted(numeric_values))
-            vals = numeric_values[predicate]
-            low = vals[len(vals) // 4]
-            high = vals[(3 * len(vals)) // 4]
+        if range_bounds:
+            predicate, low, high = rng.choice(range_bounds)
         else:
             predicate = fallback_predicate
             low = high = 0.0
@@ -432,13 +422,14 @@ def generate_workload(
         )
 
     def make_snowflake() -> QueryPattern:
-        roots = [s for s in link_roots if len(_subject_predicates(store, s)) >= 2]
-        if roots:
-            root = rng.choice(roots)
+        if snowflake_roots:
+            root = rng.choice(snowflake_roots)
             link_pred, obj = rng.choice(link_roots[root])
-            others = [p for p in _subject_predicates(store, root) if p != link_pred]
-            leg = rng.choice(others) if others else link_pred
-            tail = rng.choice(_subject_predicates(store, obj))
+            # one of the root's other predicates (it has two or more), by index
+            options = predicates[root]
+            i = rng.randrange(len(options) - 1)
+            leg = options[i + (i >= options.index(link_pred))]
+            tail = rng.choice(predicates[obj])
             patterns = (
                 TriplePattern(root, leg, "?a"),
                 TriplePattern(root, link_pred, "?b"),

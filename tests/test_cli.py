@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from tripleshard.cli import PipelineConfig, main, run_pipeline, run_scaling
+from tripleshard.cli import (
+    PipelineConfig, build_config, build_parser, main, run_pipeline, run_scaling,
+)
 from tripleshard.plan import PartitionPlan
 from tripleshard.store import parse_ntriples
 
@@ -15,6 +17,30 @@ def test_generate_writes_parseable_file(tmp_path, capsys):
     store = parse_ntriples(out.read_text())
     assert store.n > 0
     assert str(store.n) in capsys.readouterr().out
+
+
+def test_generate_rejects_input(tmp_path, capsys):
+    out = tmp_path / "g.nt"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--input", str(tmp_path / "absent.nt"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flags_set_only_their_own_config_fields():
+    parser = build_parser()
+    config = build_config(parser.parse_args([
+        "pipeline", "--input", "t.nt", "--sensors", "3", "--observations", "4", "--seed", "5",
+        "--k", "6", "--nodes", "7", "--threshold", "0.5", "--out", "run",
+    ]))
+    assert config == PipelineConfig(
+        input_path="t.nt", sensors=3, observations_per_sensor=4, seed=5, k=6, nodes=7,
+        threshold=0.5, out_dir="run",
+    )
+    # evaluate's --out names its CSV, not the pipeline's output directory
+    config = build_config(parser.parse_args(["evaluate", "--plan", "p.json", "--out", "r.csv"]))
+    assert config.out_dir == PipelineConfig().out_dir
 
 
 def test_evaluate_verb_runs_saved_workload(tmp_path, capsys):
@@ -145,6 +171,28 @@ def test_csv_input_through_config(tmp_path):
                "--k", "2", "--out", str(out)])
     assert rc == 0
     assert PartitionPlan.from_json((out / "plan.json").read_text()).k == 2
+
+
+@pytest.mark.parametrize("mapping, key", [
+    ({"properties": [["hasTemp", "temp"]]}, "'subject_column'"),
+    ({"subject_column": 3, "properties": [["hasTemp", "temp"]]}, "'subject_column'"),
+    ({"subject_column": "station"}, "'properties'"),
+    ({"subject_column": "station", "properties": "temp"}, "'properties'"),
+    ({"subject_column": "station", "properties": [["hasTemp"]]}, "'properties'"),
+    ({"subject_column": "station", "properties": [["hasTemp", "temp", "x"]]}, "'properties'"),
+    ({"subject_column": "station", "properties": [{"hasTemp": "temp"}]}, "'properties'"),
+    (["station"], "'subject_column'"),
+])
+def test_malformed_csv_mapping_names_the_key(tmp_path, capsys, mapping, key):
+    csv_file = tmp_path / "data.csv"
+    csv_file.write_text("station,temp\nst1,20\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"csv_mapping": mapping}))
+    rc = main(["pipeline", "--config", str(config), "--input", str(csv_file),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "csv_mapping" in err and key in err, err
 
 
 def test_scale_verb_writes_csv(tmp_path, capsys):

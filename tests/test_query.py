@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from tripleshard.query import (
     workload_to_json,
 )
 from tripleshard.replicate import compute_centrality, replicate
-from tripleshard.store import Triple, TripleStore
+from tripleshard.store import CsvMapping, Triple, TripleStore, ingest_csv
 
 from _helpers import grown_plan, random_store
 
@@ -444,6 +445,24 @@ def test_workload_is_deterministic():
     store = generate_sensor_graph(5, 6, 9)
     assert generate_workload(store, 3) == generate_workload(store, 3)
     assert generate_workload(store, 3) != generate_workload(store, 4)
+
+
+def _fallback_csv_store():
+    """Literal objects only: no links and no numbers, so the linear, range
+    and snowflake makers take their fallbacks."""
+    mapping = CsvMapping("id", (("name", "name"), ("colour", "colour")))
+    return ingest_csv("id,name,colour\na,alpha,red\nb,beta,\nc,gamma,blue\n", mapping).store
+
+
+@pytest.mark.parametrize("make_store, pinned", [
+    (lambda: generate_sensor_graph(3, 6, 4), "workload_sensor_graph.json"),
+    (_fallback_csv_store, "workload_csv_fallbacks.json"),
+])
+def test_workload_text_is_pinned(make_store, pinned):
+    """Every draw is pinned: a change to the lists the RNG draws from, or to
+    their order, changes this text."""
+    expected = (Path(__file__).parent / "data" / pinned).read_text()
+    assert workload_to_json(generate_workload(make_store(), 1)) == expected
 
 
 def test_workload_joins_equal_patterns_minus_one():
