@@ -75,14 +75,19 @@ def _csv_mapping(data: object) -> CsvMapping:
     """The config file's ``csv_mapping`` entry; a malformed one names its key."""
     if not isinstance(data, dict) or not isinstance(data.get("subject_column"), str):
         raise ValueError("csv_mapping must be an object with a string 'subject_column'")
+    unknown = sorted(set(data) - {"subject_column", "properties", "resource_columns"})
+    if unknown:
+        raise ValueError(f"unknown csv_mapping keys: {', '.join(map(repr, unknown))}")
     subject, properties = data["subject_column"], data.get("properties")
     if not isinstance(properties, list) or not all(
         isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
         for pair in properties
     ):
         raise ValueError("csv_mapping 'properties' must be a list of [predicate, column] pairs")
-    resources = frozenset(data.get("resource_columns", ()))
-    return CsvMapping(subject, tuple(map(tuple, properties)), resources)
+    resources = data.get("resource_columns", [])
+    if not isinstance(resources, list) or not all(isinstance(col, str) for col in resources):
+        raise ValueError("csv_mapping 'resource_columns' must be a list of column names")
+    return CsvMapping(subject, tuple(map(tuple, properties)), frozenset(resources))
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("scale", help="re-run the pipeline at growing data volumes")
-    _add_common(p)
+    _add_common(p, with_input=False)
     p.add_argument("--scales", default="1,2,3,4,5", help="comma-separated multipliers")
     p.add_argument("--repeats", type=int, default=1, help="timing repeats per scale")
     p.add_argument("--out", help="scale CSV (default scale.csv)")

@@ -19,10 +19,12 @@ cost signal, not a wall-clock estimate.
 from __future__ import annotations
 
 import json
+import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .plan import PartitionPlan
 from .store import TripleStore
@@ -78,6 +80,11 @@ class QueryPattern:
                 raise ValueError("range queries require a numeric filter")
             if self.range_filter.predicate != self.patterns[0].predicate:
                 raise ValueError("range filter must target the pattern's predicate")
+            if math.isnan(self.range_filter.low) or math.isnan(self.range_filter.high):
+                raise ValueError(
+                    f"range filter bounds must be numbers, not NaN: "
+                    f"low={self.range_filter.low}, high={self.range_filter.high}"
+                )
             if self.range_filter.low > self.range_filter.high:
                 raise ValueError("range filter bounds are inverted")
         else:
@@ -232,7 +239,7 @@ def evaluate_centralized(store: TripleStore, q: QueryPattern) -> QueryResult:
 
 def _propagate_eval(
     store: TripleStore, q: QueryPattern, seen_by: Sequence[int]
-) -> tuple[dict[Binding, int], set[int], list[tuple[Sequence[int], int]]]:
+) -> tuple[dict[Binding, int], Collection[int], list[tuple[Sequence[int], int]]]:
     """Index-nested-loop evaluation with binding propagation, cluster-wide.
 
     Each row carries its reach, the AND of ``seen_by`` over the positions
@@ -242,7 +249,24 @@ def _propagate_eval(
     Probes are memoized so a repeated lookup is examined, and charged, once.
     Rows are not deduplicated between patterns: distinct triples extend a row
     distinctly, except a literal/resource twin, whose rows share a binding.
+
+    A range scan ``?s P ?o`` builds rows only for the in-range slice of the
+    store's numeric index of ``P``; it still examines, and matches, every
+    candidate of ``P``, as the generic path does.
     """
+    f, (s, p, term) = q.range_filter, q.patterns[0].terms()
+    bindings: dict[Binding, int] = {}
+    if f is not None and is_variable(s) and is_variable(term) and s != term and not is_variable(p):
+        values, positions = store.numeric_index(p)
+        triples = store.triples
+        flip = term < s  # a binding lists its variables by name
+        for pos in positions[bisect_left(values, f.low):bisect_right(values, f.high)]:
+            subject, _, obj, _ = triples[pos]
+            binding = ((term, obj), (s, subject)) if flip else ((s, subject), (term, obj))
+            bindings[binding] = bindings.get(binding, 0) | seen_by[pos]
+        candidates = store.predicate_index.get(p, ())
+        return bindings, candidates, [(candidates, -1)]
+
     rows: list[tuple[dict[str, str], int]] = [({}, -1)]  # all bits set: every node starts
     matched: set[int] = set()
     probes: dict[tuple[str, str, str], tuple[Sequence[int], list]] = {}
@@ -261,8 +285,6 @@ def _propagate_eval(
         rows = next_rows
         if not rows:
             break
-    f, term = q.range_filter, q.patterns[0].object
-    bindings: dict[Binding, int] = {}
     for row, reach in rows:
         if f is None or _in_range(f, row.get(term, term)):
             binding = tuple(sorted(row.items()))
@@ -373,16 +395,10 @@ def generate_workload(
     snowflake_roots = [s for s in link_roots if len(predicates[s]) >= 2]
     range_bounds: list[tuple[str, float, float]] = []  # (predicate, quartiles) by name
     if counts[2]:  # only range queries read them
-        for predicate, positions in sorted(store.predicate_index.items()):
-            vals = []
-            for pos in positions:
-                try:
-                    vals.append(float(triples[pos].object))
-                except ValueError:
-                    continue
-            if vals:
-                vals.sort()
-                range_bounds.append((predicate, vals[len(vals) // 4], vals[(3 * len(vals)) // 4]))
+        for predicate in sorted(store.predicate_index):
+            values, _ = store.numeric_index(predicate)
+            if values:
+                range_bounds.append((predicate, values[len(values) // 4], values[(3 * len(values)) // 4]))
 
     first_subject = triples[0].subject
     fallback_predicate = triples[0].predicate

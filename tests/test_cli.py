@@ -6,7 +6,7 @@ from tripleshard.cli import (
     PipelineConfig, build_config, build_parser, main, run_pipeline, run_scaling,
 )
 from tripleshard.plan import PartitionPlan
-from tripleshard.store import parse_ntriples
+from tripleshard.store import CsvMapping, parse_ntriples
 
 
 def test_generate_writes_parseable_file(tmp_path, capsys):
@@ -182,6 +182,12 @@ def test_csv_input_through_config(tmp_path):
     ({"subject_column": "station", "properties": [["hasTemp", "temp", "x"]]}, "'properties'"),
     ({"subject_column": "station", "properties": [{"hasTemp": "temp"}]}, "'properties'"),
     (["station"], "'subject_column'"),
+    ({"subject_column": "station", "properties": [], "resource_columns": "temp"},
+     "'resource_columns'"),
+    ({"subject_column": "station", "properties": [], "resource_columns": [3]},
+     "'resource_columns'"),
+    ({"subject_column": "station", "properties": [], "resource_column": ["temp"]},
+     "'resource_column'"),
 ])
 def test_malformed_csv_mapping_names_the_key(tmp_path, capsys, mapping, key):
     csv_file = tmp_path / "data.csv"
@@ -195,6 +201,15 @@ def test_malformed_csv_mapping_names_the_key(tmp_path, capsys, mapping, key):
     assert "csv_mapping" in err and key in err, err
 
 
+def test_csv_mapping_resource_columns(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"csv_mapping": {
+        "subject_column": "id", "properties": [["tagged", "tag"]], "resource_columns": ["tag"],
+    }}))
+    mapping = build_config(build_parser().parse_args(["pipeline", "--config", str(config)])).csv_mapping
+    assert mapping == CsvMapping("id", (("tagged", "tag"),), frozenset({"tag"}))
+
+
 def test_scale_verb_writes_csv(tmp_path, capsys):
     out = tmp_path / "scale.csv"
     rc = main(["scale", "--sensors", "5", "--observations", "6", "--k", "2",
@@ -206,6 +221,15 @@ def test_scale_verb_writes_csv(tmp_path, capsys):
     n1 = int(lines[1].split(",")[1])
     n2 = int(lines[2].split(",")[1])
     assert n2 > n1
+
+
+def test_scale_rejects_input(tmp_path, capsys):
+    out = tmp_path / "scale.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["scale", "--input", str(tmp_path / "data.csv"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scaling_requires_generated_data(tmp_path):

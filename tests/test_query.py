@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +20,8 @@ from tripleshard.query import (
     evaluate_distributed,
     generate_workload,
     inc_report,
+    inc_report_csv,
+    query_from_dict,
     workload_from_json,
     workload_to_json,
 )
@@ -113,6 +117,22 @@ def test_validation_rejects_malformed_shapes():
         ).validate()
     with pytest.raises(ValueError):
         QueryPattern("mystery", (TriplePattern("a", "p", "?x"),)).validate()
+
+
+@pytest.mark.parametrize("low, high", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_nan_range_bounds_are_rejected(low, high):
+    q = QueryPattern("range", (TriplePattern("?s", "t", "?v"),), RangeFilter("t", low, high))
+    with pytest.raises(ValueError, match="range filter bounds must be numbers, not NaN"):
+        q.validate()
+    data = {
+        "type": "range",
+        "patterns": [{"s": "?s", "p": "t", "o": "?v"}],
+        "filter": {"predicate": "t", "low": low, "high": high},
+    }
+    with pytest.raises(ValueError, match="not NaN"):
+        query_from_dict(data)
+    with pytest.raises(ValueError, match="not NaN"):
+        workload_from_json(json.dumps([data]))
 
 
 # --- distributed route ------------------------------------------------------
@@ -250,6 +270,71 @@ def test_distributed_bindings_always_match_reference():
                     assert (
                         evaluate_distributed(store, use, q, home).bindings == reference
                     )
+
+
+EDGE_STORE = _store(
+    ("s1", "t", "nan", True), ("s2", "t", "inf", True), ("s3", "t", "-inf", True),
+    ("s4", "t", " 7 ", True), ("s5", "t", "1_0", True), ("s6", "t", "hot", True),
+    ("s7", "t", "7", True), ("s7", "t", "7", False),  # a literal/resource twin
+    ("5", "t", "5", False), ("s8", "t", "-3.5", True), ("s1", "u", "2", True),
+)
+EDGE_PLAN = PartitionPlan(
+    fragment_masters=("s1", "s4", "s7"),
+    fragment_of=(0, 0, 0, 1, 1, 1, 2, 2, 1, 0, 0),
+    node_of_fragment=(0, 1, 2),
+    m=3,
+    replicated=(6,),
+)
+# (nodes_touched, locally_answered, triples_scanned, qet_proxy) at homes 0, 1 and 2
+SPLIT = (3, False, 10, 210)
+LOCAL = (1, True, 5, 5)
+
+
+@pytest.mark.parametrize("pattern, low, high, per_home", [
+    (("?s", "t", "?v"), 0.0, 100.0, [SPLIT, LOCAL, SPLIT]),
+    (("?s", "t", "?v"), -math.inf, math.inf, [SPLIT, SPLIT, SPLIT]),
+    (("?s", "t", "?v"), 7.0, 7.0, [SPLIT, LOCAL, SPLIT]),
+    (("?s", "t", "?v"), -10.0, 5.0, [SPLIT, SPLIT, SPLIT]),
+    (("?s", "t", "?v"), math.inf, math.inf, [LOCAL, SPLIT, SPLIT]),
+    (("?s", "t", "?v"), -math.inf, -math.inf, [LOCAL, SPLIT, SPLIT]),
+    (("?s", "t", "?v"), 10.0, 10.0, [SPLIT, LOCAL, SPLIT]),
+    (("?v", "t", "?s"), 0.0, 100.0, [SPLIT, LOCAL, SPLIT]),
+    (("?s", "u", "?v"), 0.0, 5.0, [(1, True, 1, 1), (1, False, 1, 1), (1, False, 1, 1)]),
+    (("?s", "zz", "?v"), 0.0, 5.0, [(1, True, 0, 0)] * 3),
+    # the generic path: a constant subject, a repeated variable, a constant
+    # object, a variable predicate
+    (("s7", "t", "?v"), 7.0, 7.0, [(1, True, 1, 1), (1, True, 1, 1), (1, True, 2, 2)]),
+    (("s4", "t", "?v"), 0.0, 100.0, [(1, False, 1, 1), (1, True, 1, 1), (1, False, 1, 1)]),
+    (("?x", "t", "?x"), 0.0, 10.0, [(1, False, 10, 10), (1, True, 5, 5), (1, False, 10, 10)]),
+    (("?s", "t", "7"), 0.0, 10.0, [LOCAL, LOCAL, (1, True, 2, 2)]),
+    (("?s", "t", "hot"), 0.0, 10.0, [LOCAL, LOCAL, (1, True, 2, 2)]),
+    (("?s", "?p", "?v"), 0.0, 5.0, [(3, False, 11, 211)] * 3),
+])
+def test_range_edge_cases_match_reference(pattern, low, high, per_home):
+    """Objects float() reads oddly or not at all, and every range form; the
+    metrics are pinned from the row-by-row filter the index slice replaced."""
+    q = QueryPattern("range", (TriplePattern(*pattern),), RangeFilter(pattern[1], low, high))
+    reference = evaluate_centralized(EDGE_STORE, q).bindings
+    for home, expected in enumerate(per_home):
+        result = evaluate_distributed(EDGE_STORE, EDGE_PLAN, q, home)
+        assert result.bindings == reference
+        m = result.metrics
+        assert (m.nodes_touched, m.locally_answered, m.triples_scanned, m.qet_proxy) == expected
+
+
+def test_range_edge_case_bindings():
+    def rows(s, p, o, low, high):
+        q = QueryPattern("range", (TriplePattern(s, p, o),), RangeFilter(p, low, high))
+        return _rows(evaluate_distributed(EDGE_STORE, EDGE_PLAN, q, 0))
+
+    assert rows("?s", "t", "?v", -math.inf, math.inf) == [
+        {"?s": "5", "?v": "5"}, {"?s": "s2", "?v": "inf"}, {"?s": "s3", "?v": "-inf"},
+        {"?s": "s4", "?v": " 7 "}, {"?s": "s5", "?v": "1_0"}, {"?s": "s7", "?v": "7"},
+        {"?s": "s8", "?v": "-3.5"},
+    ]
+    assert rows("?v", "t", "?s", 7.0, 7.0) == [{"?s": " 7 ", "?v": "s4"}, {"?s": "7", "?v": "s7"}]
+    assert rows("?x", "t", "?x", 0.0, 10.0) == [{"?x": "5"}]
+    assert rows("?s", "t", "hot", 0.0, 10.0) == []
 
 
 def _random_plan(rng, store, k, m):
@@ -463,6 +548,32 @@ def test_workload_text_is_pinned(make_store, pinned):
     their order, changes this text."""
     expected = (Path(__file__).parent / "data" / pinned).read_text()
     assert workload_to_json(generate_workload(make_store(), 1)) == expected
+
+
+def _range_reports(store, seed, threshold):
+    """inc_report_csv of 40 range queries under a grown, a replicated and a
+    round-robin plan, each with the best and the fixed policy."""
+    workload = generate_workload(store, seed, (0, 0, 40, 0))
+    grown = grown_plan(store, 4, 3)
+    _, replicated_plan = replicate(grown, compute_centrality(store), threshold, store)
+    plans = (("grown", grown), ("replicated", replicated_plan),
+             ("round-robin", round_robin_triple_plan(store, 3)))
+    parts = []
+    for name, plan in plans:
+        for policy in ("best", "fixed"):
+            report = inc_report(store, plan, workload, policy=policy, home_node=plan.m - 1)
+            parts.append(f"# {name} plan, {policy} policy\n" + inc_report_csv(report))
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("make_store, seed, threshold, pinned", [
+    (lambda: generate_sensor_graph(3, 8, 12), 1, 0.6, "range_reports_sensor_graph.txt"),
+    (lambda: random_store(random.Random(41), 400), 2, 0.75, "range_reports_random_store.txt"),
+])
+def test_range_outcomes_are_pinned(make_store, seed, threshold, pinned):
+    """Range queries' outcomes, pinned from the row-by-row range filter."""
+    expected = (Path(__file__).parent / "data" / pinned).read_text()
+    assert _range_reports(make_store(), seed, threshold) == expected
 
 
 def test_workload_joins_equal_patterns_minus_one():

@@ -115,6 +115,33 @@ def test_index_soundness_randomized():
         assert subject_seen == predicate_seen == set(range(store.n))
 
 
+def test_numeric_index_sorts_numbers_by_value_then_position():
+    store = TripleStore([
+        Triple("a", "t", "7", True), Triple("b", "t", "nan", True), Triple("c", "t", "-inf", True),
+        Triple("d", "t", " 7 ", True), Triple("e", "t", "hot", True), Triple("f", "u", "1", True),
+        Triple("g", "t", "1_0", False), Triple("a", "t", "7", False),
+    ])
+    values, positions = store.numeric_index("t")
+    assert list(values) == [float("-inf"), 7.0, 7.0, 7.0, 10.0]
+    assert list(positions) == [2, 0, 3, 7, 6]
+    assert store.numeric_index("t") is store.numeric_index("t")
+    assert [list(a) for a in store.numeric_index("absent")] == [[], []]
+    # oracle: every object of the predicate that float() reads (random stores
+    # hold no NaN), in a sort of its own
+    rng = random.Random(43)
+    for _ in range(10):
+        store = random_store(rng, rng.randint(20, 300))
+        for predicate, candidates in store.predicate_index.items():
+            expected = []
+            for pos in candidates:
+                try:
+                    expected.append((float(store.triples[pos].object), pos))
+                except ValueError:
+                    pass
+            values, positions = store.numeric_index(predicate)
+            assert list(zip(values, positions)) == sorted(expected)
+
+
 def test_store_deduplicates_on_construction():
     t = Triple("a", "p", "b")
     store = TripleStore([t, t, Triple("a", "p", "b", True)])
