@@ -47,6 +47,22 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def validate(self) -> None:
+        """Check each field's type, naming its key, then its range."""
+        for name in ("sensors", "observations_per_sensor", "k", "nodes", "seed"):
+            if type(getattr(self, name)) is not int:  # bool, float and str are rejected
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.threshold is not None and type(self.threshold) not in (int, float):
+            raise ValueError(f"threshold must be a number or null, got {self.threshold!r}")
+        if self.input_path is not None and not isinstance(self.input_path, str):
+            raise ValueError(f"input_path must be a path string, got {self.input_path!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
+        counts = self.workload_counts
+        if not (isinstance(counts, (list, tuple)) and len(counts) == 4
+                and all(type(c) is int and c >= 0 for c in counts)):
+            raise ValueError(
+                f"workload_counts must be a list of four non-negative integers, got {counts!r}"
+            )
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if self.nodes < 1:
@@ -55,8 +71,6 @@ class PipelineConfig:
             raise ValueError(f"threshold must lie in (0, 1], got {self.threshold}")
         if self.sensors < 0 or self.observations_per_sensor < 0:
             raise ValueError("generator counts must be non-negative")
-        if len(self.workload_counts) != 4 or any(c < 0 for c in self.workload_counts):
-            raise ValueError("workload_counts must be four non-negative integers")
 
 
 def load_config_file(path: str) -> dict:
@@ -94,7 +108,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     data = load_config_file(args.config) if getattr(args, "config", None) else {}
     if data.get("csv_mapping") is not None:
         data["csv_mapping"] = _csv_mapping(data["csv_mapping"])
-    if "workload_counts" in data:
+    if isinstance(data.get("workload_counts"), list):
         data["workload_counts"] = tuple(data["workload_counts"])
     for field in fields(PipelineConfig):  # flags store under the field they set; they win
         value = getattr(args, field.name, None)

@@ -24,7 +24,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .plan import PartitionPlan
 from .store import TripleStore
@@ -41,14 +41,12 @@ def is_variable(term: str) -> bool:
     return term.startswith("?")
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(NamedTuple):
+    """A triple whose terms may be variables (``?name``)."""
+
     subject: str
     predicate: str
     object: str
-
-    def terms(self) -> tuple[str, str, str]:
-        return (self.subject, self.predicate, self.object)
 
 
 @dataclass(frozen=True)
@@ -60,9 +58,15 @@ class RangeFilter:
 
 @dataclass(frozen=True)
 class QueryPattern:
+    """A query of one of the four shapes; checked when built, so every
+    QueryPattern in hand is valid."""
+
     shape: str
     patterns: tuple[TriplePattern, ...]
     range_filter: RangeFilter | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.shape not in SHAPES:
@@ -70,9 +74,9 @@ class QueryPattern:
         if not self.patterns:
             raise ValueError("query must contain at least one pattern")
         for pat in self.patterns:
-            for term in pat.terms():
-                if not term:
-                    raise ValueError("pattern terms must be non-empty strings")
+            for term in pat:
+                if not isinstance(term, str) or not term:
+                    raise ValueError(f"pattern terms must be non-empty strings, got {term!r}")
         if self.shape == "range":
             if len(self.patterns) != 1:
                 raise ValueError("range queries hold exactly one pattern")
@@ -115,11 +119,13 @@ class QueryPattern:
                     bound_objects.add(p.object)
 
 
-@dataclass
-class QueryMetrics:
+class QueryOutcome(NamedTuple):
+    """One query's cost when routed to ``home_node``."""
+
+    home_node: int
+    joins: int
     nodes_touched: int
     locally_answered: bool
-    joins: int
     triples_scanned: int
     qet_proxy: int
 
@@ -127,7 +133,7 @@ class QueryMetrics:
 @dataclass
 class QueryResult:
     bindings: frozenset[Binding]
-    metrics: QueryMetrics
+    metrics: QueryOutcome
 
     def rows(self) -> list[dict[str, str]]:
         return [dict(b) for b in sorted(self.bindings)]
@@ -217,24 +223,20 @@ def _hash_join(left: list[dict], right: list[dict]) -> list[dict]:
 
 
 def evaluate_centralized(store: TripleStore, q: QueryPattern) -> QueryResult:
-    """Reference evaluation: full per-pattern match, then hash joins."""
-    q.validate()
+    """Reference evaluation: full per-pattern match, then hash joins.
+
+    Its cost is that of a one-node cluster: home 0, answered locally.
+    """
     scanned = 0
     rows: list[dict[str, str]] | None = None
     for pat in q.patterns:
-        candidates, matches = _pattern_matches(store, *pat.terms())
+        candidates, matches = _pattern_matches(store, *pat)
         scanned += len(candidates)
         relation = _dedupe([ext for _, ext in matches])
         rows = relation if rows is None else _hash_join(rows, relation)
     rows = _apply_range(rows or [], q)
-    metrics = QueryMetrics(
-        nodes_touched=1,
-        locally_answered=True,
-        joins=len(q.patterns) - 1,
-        triples_scanned=scanned,
-        qet_proxy=scanned,
-    )
-    return QueryResult(_freeze(rows), metrics)
+    joins = len(q.patterns) - 1
+    return QueryResult(_freeze(rows), QueryOutcome(0, joins, 1, True, scanned, scanned))
 
 
 def _propagate_eval(
@@ -254,7 +256,7 @@ def _propagate_eval(
     store's numeric index of ``P``; it still examines, and matches, every
     candidate of ``P``, as the generic path does.
     """
-    f, (s, p, term) = q.range_filter, q.patterns[0].terms()
+    f, (s, p, term) = q.range_filter, q.patterns[0]
     bindings: dict[Binding, int] = {}
     if f is not None and is_variable(s) and is_variable(term) and s != term and not is_variable(p):
         values, positions = store.numeric_index(p)
@@ -272,7 +274,7 @@ def _propagate_eval(
     probes: dict[tuple[str, str, str], tuple[Sequence[int], list]] = {}
     probe_reach: dict[tuple[str, str, str], int] = {}
     for pat in q.patterns:
-        s, p, o = pat.terms()
+        s, p, o = pat
         next_rows: list[tuple[dict[str, str], int]] = []
         for row, reach in rows:
             key = (row.get(s, s), row.get(p, p), row.get(o, o))
@@ -294,7 +296,7 @@ def _propagate_eval(
 
 def _evaluate(
     store: TripleStore, plan: PartitionPlan, q: QueryPattern, homes: Sequence[int]
-) -> tuple[frozenset[Binding], list[QueryMetrics]]:
+) -> tuple[frozenset[Binding], list[QueryOutcome]]:
     """Cluster-wide bindings of ``q`` and its cost from each of ``homes``.
 
     A home's own pass over its visible triples is the cluster pass restricted
@@ -307,7 +309,6 @@ def _evaluate(
     for home in homes:
         if not 0 <= home < plan.m:
             raise ValueError(f"home node {home} outside 0..{plan.m - 1}")
-    q.validate()
     seen_by = plan.seen_by
     bindings, matched, probes = _propagate_eval(store, q, seen_by)
     # candidates counted by probe reach, then position mask: a handful of pairs
@@ -315,7 +316,8 @@ def _evaluate(
     for candidates, reach in probes:
         counts.setdefault(reach, Counter()).update(map(seen_by.__getitem__, candidates))
     served_masks = set(map(seen_by.__getitem__, matched))
-    metrics = []
+    joins = len(q.patterns) - 1
+    outcomes = []
     for home in homes:
         bit = 1 << home
         scanned = remote = 0
@@ -331,14 +333,11 @@ def _evaluate(
         else:  # a position the home cannot see is unreplicated: one bit, its owner's
             nodes_touched = len({home if mask & bit else mask.bit_length() - 1 for mask in served_masks})
             scanned += remote
-        metrics.append(QueryMetrics(
-            nodes_touched=nodes_touched,
-            locally_answered=locally_answered,
-            joins=len(q.patterns) - 1,
-            triples_scanned=scanned,
-            qet_proxy=scanned + HOP_PENALTY * (nodes_touched - 1),
+        outcomes.append(QueryOutcome(
+            home, joins, nodes_touched, locally_answered, scanned,
+            scanned + HOP_PENALTY * (nodes_touched - 1),
         ))
-    return frozenset(bindings), metrics
+    return frozenset(bindings), outcomes
 
 
 def evaluate_distributed(
@@ -348,8 +347,8 @@ def evaluate_distributed(
 
     Returned bindings are always the cluster-wide (reference-equal) bindings.
     """
-    bindings, (metrics,) = _evaluate(store, plan, q, (home_node,))
-    return QueryResult(bindings, metrics)
+    bindings, (outcome,) = _evaluate(store, plan, q, (home_node,))
+    return QueryResult(bindings, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +457,7 @@ def generate_workload(
         return QueryPattern("snowflake", patterns)
 
     makers = (make_linear, make_star, make_range, make_snowflake)
-    workload: list[QueryPattern] = []
-    for maker, count in zip(makers, counts):
-        for _ in range(count):
-            q = maker()
-            q.validate()
-            workload.append(q)
-    return workload
+    return [maker() for maker, count in zip(makers, counts) for _ in range(count)]
 
 
 def query_to_dict(q: QueryPattern) -> dict:
@@ -481,17 +474,38 @@ def query_to_dict(q: QueryPattern) -> dict:
     return data
 
 
+def _entry(data: object, key: str, where: str):
+    """``data[key]``, or a ValueError naming ``where`` and the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    if key not in data:
+        raise ValueError(f"{where} has no {key!r} key")
+    return data[key]
+
+
+def _bound(f: object, key: str) -> float:
+    value = _entry(f, key, "filter")
+    if type(value) not in (int, float):  # a JSON true is not a bound
+        raise ValueError(f"filter {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def query_from_dict(data: dict) -> QueryPattern:
+    """A query from its JSON object; a malformed one raises ValueError
+    naming the key at fault."""
+    items = _entry(data, "patterns", "query")
+    if not isinstance(items, list):
+        raise ValueError(f"query 'patterns' must be a list, got {items!r}")
     patterns = tuple(
-        TriplePattern(p["s"], p["p"], p["o"]) for p in data["patterns"]
+        TriplePattern(*(_entry(item, key, f"pattern {j}") for key in "spo"))
+        for j, item in enumerate(items)
     )
+    f = data.get("filter")
     range_filter = None
-    if "filter" in data and data["filter"] is not None:
-        f = data["filter"]
-        range_filter = RangeFilter(f["predicate"], float(f["low"]), float(f["high"]))
-    q = QueryPattern(data["type"], patterns, range_filter)
-    q.validate()
-    return q
+    if f is not None:
+        predicate = _entry(f, "predicate", "filter")
+        range_filter = RangeFilter(predicate, _bound(f, "low"), _bound(f, "high"))
+    return QueryPattern(_entry(data, "type", "query"), patterns, range_filter)
 
 
 def workload_to_json(workload: Sequence[QueryPattern]) -> str:
@@ -499,27 +513,26 @@ def workload_to_json(workload: Sequence[QueryPattern]) -> str:
 
 
 def workload_from_json(text: str) -> list[QueryPattern]:
-    return [query_from_dict(item) for item in json.loads(text)]
+    """Read a workload file; a malformed query raises ValueError naming its index."""
+    items = json.loads(text)
+    if not isinstance(items, list):
+        raise ValueError("a workload file holds a JSON list of queries")
+    workload = []
+    for i, item in enumerate(items):
+        try:
+            workload.append(query_from_dict(item))
+        except ValueError as exc:
+            raise ValueError(f"query {i}: {exc}") from None
+    return workload
 
 
 # ---------------------------------------------------------------------------
 # communication report
 
 @dataclass
-class QueryOutcome:
-    index: int
-    shape: str
-    home_node: int
-    joins: int
-    nodes_touched: int
-    locally_answered: bool
-    triples_scanned: int
-    qet_proxy: int
-
-
-@dataclass
 class IncReport:
-    outcomes: list[QueryOutcome]
+    workload: Sequence[QueryPattern]
+    outcomes: list[QueryOutcome]  # one per query, at its chosen home
     fraction_local: float
     mean_nodes_touched: float
     mean_joins: float
@@ -547,17 +560,17 @@ def inc_report(
         raise ValueError("workload must contain at least one query")
 
     homes = range(plan.m) if policy == "best" else (home_node,)
-    outcomes: list[QueryOutcome] = []
-    for i, q in enumerate(workload):
-        _, metrics = _evaluate(store, plan, q, homes)
-        chosen_home, m = min(
-            zip(homes, metrics),
-            key=lambda pair: (pair[1].nodes_touched, not pair[1].locally_answered, pair[0]),
+    outcomes = [
+        min(
+            _evaluate(store, plan, q, homes)[1],
+            key=lambda o: (o.nodes_touched, not o.locally_answered, o.home_node),
         )
-        outcomes.append(QueryOutcome(index=i, shape=q.shape, home_node=chosen_home, **vars(m)))
+        for q in workload
+    ]
 
     count = len(outcomes)
     return IncReport(
+        workload=workload,
         outcomes=outcomes,
         fraction_local=sum(o.locally_answered for o in outcomes) / count,
         mean_nodes_touched=sum(o.nodes_touched for o in outcomes) / count,
@@ -569,9 +582,9 @@ def inc_report(
 
 def inc_report_csv(report: IncReport) -> str:
     lines = ["query,shape,homeNode,joins,nodesTouched,locallyAnswered,triplesScanned,qetProxy"]
-    for o in report.outcomes:
+    for i, (q, o) in enumerate(zip(report.workload, report.outcomes)):
         lines.append(
-            f"{o.index},{o.shape},{o.home_node},{o.joins},{o.nodes_touched},"
+            f"{i},{q.shape},{o.home_node},{o.joins},{o.nodes_touched},"
             f"{int(o.locally_answered)},{o.triples_scanned},{o.qet_proxy}"
         )
     return "".join(line + "\n" for line in lines)
@@ -583,9 +596,9 @@ def inc_report_table(report: IncReport) -> str:
         f"{'query':>5}  {'shape':<10} {'home':>4} {'joins':>5} {'nodes':>5} "
         f"{'local':>5} {'scanned':>8} {'cost':>8}",
     ]
-    for o in report.outcomes:
+    for i, (q, o) in enumerate(zip(report.workload, report.outcomes)):
         lines.append(
-            f"{o.index:>5}  {o.shape:<10} {o.home_node:>4} {o.joins:>5} {o.nodes_touched:>5} "
+            f"{i:>5}  {q.shape:<10} {o.home_node:>4} {o.joins:>5} {o.nodes_touched:>5} "
             f"{'yes' if o.locally_answered else 'no':>5} {o.triples_scanned:>8} {o.qet_proxy:>8}"
         )
     lines.append(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .plan import PartitionPlan
 from .store import TripleStore
@@ -27,7 +28,7 @@ class CentralityTable:
 class ReplicationDecision:
     threshold: float
     replicated_predicates: frozenset[str]
-    replicated_positions: frozenset[int]
+    replicated_positions: tuple[int, ...]  # sorted; the plan's ``replicated``
     replication_level: float  # replicated triples / store size
 
 
@@ -89,20 +90,13 @@ def replicate(
     never duplicated onto their own node.
     """
     _check_threshold(threshold)
-    chosen = {p for p, c in table.values.items() if c >= threshold}
-
-    replicated: set[int] = set()
-    for predicate in chosen:
-        replicated.update(store.predicate_index[predicate])
+    chosen = frozenset(p for p, c in table.values.items() if c >= threshold)
+    # a position has one predicate, so the chosen index lists are disjoint
+    replicated = tuple(sorted(chain.from_iterable(store.predicate_index[p] for p in chosen)))
 
     level = len(replicated) / store.n if store.n else 0.0
-    decision = ReplicationDecision(
-        threshold=threshold,
-        replicated_predicates=frozenset(chosen),
-        replicated_positions=frozenset(replicated),
-        replication_level=level,
-    )
-    return decision, replace(plan, replicated=tuple(sorted(replicated)))
+    decision = ReplicationDecision(threshold, chosen, replicated, level)
+    return decision, replace(plan, replicated=replicated)
 
 
 def centrality_csv(table: CentralityTable) -> str:

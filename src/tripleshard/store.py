@@ -9,6 +9,7 @@ predicate is built on first use.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from array import array
 from dataclasses import dataclass
@@ -169,6 +170,19 @@ class CsvMapping:
     resource_columns: frozenset[str] = frozenset()
 
 
+# what a resource term cannot hold, and the line breaks str.splitlines splits on
+_NOT_IN_RESOURCE = re.compile(r"[\s<>]").search
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]").search
+
+
+def _unwritable(line: int, column: str, value: str, is_literal: bool) -> IngestError:
+    held = "a line break" if is_literal else "whitespace, '<' or '>'"
+    return IngestError(
+        f"CSV line {line}, column {column!r}: {value!r} holds {held}, "
+        f"which the triple writer cannot write"
+    )
+
+
 @dataclass
 class CsvIngestResult:
     store: TripleStore
@@ -179,11 +193,20 @@ def ingest_csv(source: str | Iterable[str], mapping: CsvMapping) -> CsvIngestRes
     """Convert header-bearing CSV rows into triples, one per mapped cell.
 
     Empty object cells are skipped and counted; a row with an empty subject
-    cell skips all of its mapped cells. A mapped column missing from the
-    header raises :class:`IngestError` naming the column.
+    cell skips all of its mapped cells. Quoted cells may span lines. A mapped
+    column missing from the header raises :class:`IngestError` naming the
+    column. So does what ``serialize_ntriples`` could not write back, naming
+    also the CSV line on which the row ends: a subject or resource cell
+    holding whitespace, ``<`` or ``>``, or a literal cell holding a line
+    break. Predicate names are checked like resource cells, up front.
     """
+    for predicate, _ in mapping.properties:
+        if not predicate or _NOT_IN_RESOURCE(predicate):
+            raise IngestError(
+                f"predicate {predicate!r} must be a name without whitespace, '<' or '>'"
+            )
     if isinstance(source, str):
-        source = source.splitlines()
+        source = io.StringIO(source, newline="")
     reader = csv.DictReader(source)
     header = reader.fieldnames or []
     needed = [mapping.subject_column] + [col for _, col in mapping.properties]
@@ -191,6 +214,7 @@ def ingest_csv(source: str | Iterable[str], mapping: CsvMapping) -> CsvIngestRes
         if col not in header:
             raise IngestError(f"mapped column {col!r} not found in CSV header")
 
+    cells = [(p, col, col not in mapping.resource_columns) for p, col in mapping.properties]
     triples: list[Triple] = []
     skipped = 0
     for row in reader:
@@ -198,11 +222,18 @@ def ingest_csv(source: str | Iterable[str], mapping: CsvMapping) -> CsvIngestRes
         if not subject:
             skipped += len(mapping.properties)
             continue
-        for predicate, column in mapping.properties:
+        if _NOT_IN_RESOURCE(subject):
+            raise _unwritable(reader.line_num, mapping.subject_column, subject, False)
+        for predicate, column, is_literal in cells:
             value = (row.get(column) or "").strip()
             if not value:
                 skipped += 1
                 continue
-            is_literal = column not in mapping.resource_columns
+            if is_literal:  # a printable value holds no line break; isprintable is cheap
+                unwritable = not value.isprintable() and _LINE_BREAK(value)
+            else:
+                unwritable = _NOT_IN_RESOURCE(value)
+            if unwritable:
+                raise _unwritable(reader.line_num, column, value, is_literal)
             triples.append(Triple(subject, predicate, value, is_literal))
     return CsvIngestResult(TripleStore(triples), skipped)

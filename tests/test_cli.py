@@ -247,3 +247,30 @@ def test_run_pipeline_outcome_consistency(tmp_path):
     assert outcome.layout.plan.k == 2
     assert sum(outcome.layout.plan.node_loads()) == outcome.store.n
     assert 0.0 <= outcome.report.fraction_local <= 1.0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", "2"), ("k", 2.5), ("k", True), ("nodes", None), ("sensors", "4"),
+    ("observations_per_sensor", 5.0), ("seed", "abc"), ("seed", 7.5), ("seed", False),
+    ("threshold", True), ("threshold", "0.5"), ("threshold", [0.5]),
+    ("workload_counts", 5), ("workload_counts", [1, 2, 3]), ("workload_counts", [1, 2, 3, 4.0]),
+    ("workload_counts", [1, 2, 3, True]), ("workload_counts", "1234"),
+    ("out_dir", 5), ("out_dir", None), ("input_path", 5),
+])
+def test_config_values_of_the_wrong_type_name_the_key(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sensors": 4, "observations_per_sensor": 5,
+                                  "out_dir": str(tmp_path / "run"), key: value}))
+    rc = main(["pipeline", "--config", str(config)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be"), err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [("threshold", 1), ("threshold", None), ("k", 2)])
+def test_config_accepts_json_numbers_of_the_right_kind(tmp_path, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sensors": 4, "observations_per_sensor": 5, key: value}))
+    assert getattr(build_config(build_parser().parse_args(
+        ["pipeline", "--config", str(config)])), key) == value

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from tripleshard.query import (
     generate_workload,
     inc_report,
     inc_report_csv,
+    inc_report_table,
     query_from_dict,
     workload_from_json,
     workload_to_json,
@@ -121,9 +123,8 @@ def test_validation_rejects_malformed_shapes():
 
 @pytest.mark.parametrize("low, high", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
 def test_nan_range_bounds_are_rejected(low, high):
-    q = QueryPattern("range", (TriplePattern("?s", "t", "?v"),), RangeFilter("t", low, high))
     with pytest.raises(ValueError, match="range filter bounds must be numbers, not NaN"):
-        q.validate()
+        QueryPattern("range", (TriplePattern("?s", "t", "?v"),), RangeFilter("t", low, high))
     data = {
         "type": "range",
         "patterns": [{"s": "?s", "p": "t", "o": "?v"}],
@@ -133,6 +134,41 @@ def test_nan_range_bounds_are_rejected(low, high):
         query_from_dict(data)
     with pytest.raises(ValueError, match="not NaN"):
         workload_from_json(json.dumps([data]))
+
+
+STAR = {"type": "star", "patterns": [{"s": "a", "p": "p", "o": "?x"}]}
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"patterns": STAR["patterns"]}, "query has no 'type' key"),
+    ({"type": "star"}, "query has no 'patterns' key"),
+    ({"type": "star", "patterns": {"s": "a"}}, "query 'patterns' must be a list"),
+    ({"type": "star", "patterns": [{"s": "a", "p": "p"}]}, "pattern 0 has no 'o' key"),
+    ({"type": "star", "patterns": [["a", "p", "?x"]]}, "pattern 0 must be a JSON object"),
+    ({"type": "star", "patterns": [{"s": 5, "p": "p", "o": "?x"}]},
+     "pattern terms must be non-empty strings, got 5"),
+    ({**STAR, "filter": {"predicate": "p", "low": 0}}, "filter has no 'high' key"),
+    ({**STAR, "filter": {"predicate": "p", "low": "0", "high": 1}},
+     "filter 'low' must be a number"),
+    ({**STAR, "filter": {"predicate": "p", "low": 0, "high": True}},
+     "filter 'high' must be a number"),
+    ("star", "query must be a JSON object"),
+    (None, "query must be a JSON object"),
+])
+def test_malformed_workload_entry_names_its_index_and_key(entry, message):
+    with pytest.raises(ValueError, match=re.escape(f"query 1: {message}")):
+        workload_from_json(json.dumps([STAR, entry]))
+
+
+def test_workload_file_must_hold_a_list():
+    with pytest.raises(ValueError, match="JSON list of queries"):
+        workload_from_json(json.dumps(STAR))
+
+
+@pytest.mark.parametrize("term", [5, None, ("a",), ""])
+def test_query_terms_must_be_non_empty_strings(term):
+    with pytest.raises(ValueError, match="pattern terms must be non-empty strings"):
+        QueryPattern("star", (TriplePattern("a", "p", term),))
 
 
 # --- distributed route ------------------------------------------------------
@@ -414,8 +450,7 @@ def test_inc_report_picks_the_cheapest_home_per_query():
                     key=lambda h: (results[h].nodes_touched, not results[h].locally_answered, h),
                 )
                 assert outcome.home_node == home
-                expected = vars(results[home])
-                assert {name: getattr(outcome, name) for name in expected} == expected
+                assert outcome == results[home]
 
 
 def test_star_on_master_subject_is_local_under_best_routing():
@@ -550,10 +585,11 @@ def test_workload_text_is_pinned(make_store, pinned):
     assert workload_to_json(generate_workload(make_store(), 1)) == expected
 
 
-def _range_reports(store, seed, threshold):
-    """inc_report_csv of 40 range queries under a grown, a replicated and a
-    round-robin plan, each with the best and the fixed policy."""
-    workload = generate_workload(store, seed, (0, 0, 40, 0))
+def _reports(store, seed, threshold, counts, renderers):
+    """Each renderer's text of the ``counts`` workload's inc_report under a
+    grown, a replicated and a round-robin plan, each with the best and the
+    fixed policy."""
+    workload = generate_workload(store, seed, counts)
     grown = grown_plan(store, 4, 3)
     _, replicated_plan = replicate(grown, compute_centrality(store), threshold, store)
     plans = (("grown", grown), ("replicated", replicated_plan),
@@ -562,7 +598,8 @@ def _range_reports(store, seed, threshold):
     for name, plan in plans:
         for policy in ("best", "fixed"):
             report = inc_report(store, plan, workload, policy=policy, home_node=plan.m - 1)
-            parts.append(f"# {name} plan, {policy} policy\n" + inc_report_csv(report))
+            parts.append(f"# {name} plan, {policy} policy\n")
+            parts.extend(render(report) for render in renderers)
     return "".join(parts)
 
 
@@ -573,7 +610,18 @@ def _range_reports(store, seed, threshold):
 def test_range_outcomes_are_pinned(make_store, seed, threshold, pinned):
     """Range queries' outcomes, pinned from the row-by-row range filter."""
     expected = (Path(__file__).parent / "data" / pinned).read_text()
-    assert _range_reports(make_store(), seed, threshold) == expected
+    assert _reports(make_store(), seed, threshold, (0, 0, 40, 0), (inc_report_csv,)) == expected
+
+
+@pytest.mark.parametrize("make_store, seed, threshold, pinned", [
+    (lambda: generate_sensor_graph(3, 8, 12), 1, 0.6, "default_reports_sensor_graph.txt"),
+    (lambda: random_store(random.Random(41), 400), 2, 0.75, "default_reports_random_store.txt"),
+])
+def test_default_mix_report_text_is_pinned(make_store, seed, threshold, pinned):
+    """The CSV and the table of the default four-shape mix, byte for byte."""
+    expected = (Path(__file__).parent / "data" / pinned).read_text()
+    renderers = (inc_report_csv, inc_report_table)
+    assert _reports(make_store(), seed, threshold, DEFAULT_WORKLOAD_COUNTS, renderers) == expected
 
 
 def test_workload_joins_equal_patterns_minus_one():

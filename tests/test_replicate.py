@@ -99,7 +99,7 @@ def test_threshold_above_all_centralities_replicates_nothing():
     plan = grown_plan(store, 1, 2)
     table = compute_centrality(store)
     decision, augmented = replicate(plan, table, 1.0, store)
-    assert decision.replicated_positions == frozenset()
+    assert decision.replicated_positions == ()
     assert decision.replication_level == 0.0
     assert augmented.replicas == ((), ())
 
@@ -153,7 +153,7 @@ def test_lower_threshold_never_replicates_less():
         low, _ = replicate(plan, table, t1, store)
         high, _ = replicate(plan, table, t2, store)
         assert low.replication_level >= high.replication_level
-        assert low.replicated_positions >= high.replicated_positions
+        assert set(low.replicated_positions) >= set(high.replicated_positions)
 
 
 def test_replicas_never_overlap_owned_data():

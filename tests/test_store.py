@@ -201,3 +201,40 @@ def test_ingest_resource_columns():
     t = result.store.triples[0]
     assert (t.subject, t.predicate, t.object) == ("s1", "linksTo", "s2")
     assert not t.object_is_literal
+
+
+@pytest.mark.parametrize("rows, line, column", [
+    ("s1,20,s2\nitem 2,21,s1\n", 3, "id"),
+    ("s1,20,<s2>\n", 2, "target"),
+    ("s1,20,s2\ns3,21,s 4\n", 3, "target"),
+    ('s1,"two\nlines",s2\n', 3, "temp"),
+    ('s1,"two\rlines",s2\n', 3, "temp"),
+])
+def test_ingest_rejects_cells_the_writer_cannot_write(rows, line, column):
+    """The error names the CSV line on which the row ends, and the column."""
+    mapping = CsvMapping("id", (("hasTemp", "temp"), ("linksTo", "target")),
+                         frozenset({"target"}))
+    with pytest.raises(IngestError, match=f"CSV line {line}, column '{column}'"):
+        ingest_csv("id,temp,target\n" + rows, mapping)
+
+
+@pytest.mark.parametrize("predicate", ["has temp", "<hasTemp>", "has\ttemp"])
+def test_ingest_rejects_unwritable_predicate_names(predicate):
+    with pytest.raises(IngestError, match="predicate"):
+        ingest_csv("id,temp\ns1,20\n", CsvMapping("id", ((predicate, "temp"),)))
+
+
+def test_ingested_store_round_trips_through_the_writer():
+    text = 'id,label,target\ns1,"a label, quoted",s2\ns2,"say ""hi"" \\\\ back",s1\n'
+    mapping = CsvMapping("id", (("label", "label"), ("linksTo", "target")),
+                         frozenset({"target"}))
+    store = ingest_csv(text, mapping).store
+    assert store.n == 4
+    assert parse_ntriples(serialize_ntriples(store)) == store
+
+
+def test_quoted_line_break_in_an_unmapped_column_keeps_rows_apart():
+    text = 'id,note,temp\ns1,"first\nsecond",20\ns2,x,21\n'
+    result = ingest_csv(text, MAPPING)
+    assert result.store.triples == (Triple("s1", "hasTemp", "20", True),
+                                    Triple("s2", "hasTemp", "21", True))
