@@ -4,7 +4,7 @@ and a distributed-query cost simulator."""
 from .allocate import allocate
 from .generator import generate_sensor_graph
 from .layout import Layout, build_layout
-from .partition import Fragment, PartitionResult, grow_fragments, subject_frequencies, top_subjects
+from .partition import Fragment, PartitionResult, grow_fragments, top_subjects
 from .plan import PartitionPlan, PlanError, build_plan, round_robin_triple_plan
 from .query import (
     QueryPattern,

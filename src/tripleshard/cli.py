@@ -309,6 +309,8 @@ def scale_rows_csv(rows: list[dict]) -> str:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = build_config(args)
+    if config.input_path is not None:
+        raise ValueError("generate writes generated data; remove input_path from the config")
     store = generate_sensor_graph(
         config.seed, config.sensors, config.observations_per_sensor
     )

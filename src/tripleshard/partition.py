@@ -14,28 +14,22 @@ sharing a subject always land in the same fragment.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 from typing import NamedTuple
 
 from .store import TripleStore
-
-
-def subject_frequencies(store: TripleStore) -> dict[str, int]:
-    """Out-degree (triple count) per subject, in first-appearance order."""
-    return {s: len(ps) for s, ps in store.subject_index.items()}
 
 
 def top_subjects(store: TripleStore, k: int) -> list[str]:
     """The k most frequent subjects, ties broken by ascending subject name."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    freq = subject_frequencies(store)
-    if len(freq) < k:
+    index = store.subject_index
+    if len(index) < k:
         raise ValueError(
-            f"store has {len(freq)} distinct subjects, cannot select k={k} masters"
+            f"store has {len(index)} distinct subjects, cannot select k={k} masters"
         )
-    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [s for s, _ in ranked[:k]]
+    return heapq.nsmallest(k, index, key=lambda s: (-len(index[s]), s))
 
 
 class Fragment(NamedTuple):
@@ -55,8 +49,8 @@ def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
 
     Growth runs in rounds over the pending subject groups (first-appearance
     order). A group joins the fragment holding the most references to its
-    subject, ties to the lowest fragment id, and the fragment's object counts
-    update immediately so later groups see the new members. Rounds repeat
+    subject, ties to the lowest fragment id, and the group's own references
+    are counted immediately so later groups see the new members. Rounds repeat
     until a full pass assigns nothing. Remaining groups are orphans: each is
     assigned, in order, to the smallest fragment at that moment.
     """
@@ -71,39 +65,33 @@ def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
     triples = store.triples
     fragment_of = [0] * store.n
     sizes = [0] * len(masters)
-    # multiset of resource objects per fragment; literals never enter
-    references = [Counter() for _ in masters]
-
-    def absorb(fid: int, positions) -> None:
-        sizes[fid] += len(positions)
-        counts = references[fid]
-        for pos in positions:
-            fragment_of[pos] = fid
-            t = triples[pos]
-            if not t.object_is_literal:
-                counts[t.object] += 1
-
-    for fid, master in enumerate(masters):
-        absorb(fid, store.subject_index[master])
-
     master_set = set(masters)
     pending: dict[str, list[int]] = {
         s: ps for s, ps in store.subject_index.items() if s not in master_set
     }
+    # per pending subject: resource objects naming it, counted per fragment
+    references: dict[str, dict[int, int]] = {}
+
+    def absorb(fid: int, positions) -> None:
+        sizes[fid] += len(positions)
+        for pos in positions:
+            fragment_of[pos] = fid
+            t = triples[pos]
+            if not t.object_is_literal and t.object in pending:
+                counts = references.setdefault(t.object, {})
+                counts[fid] = counts.get(fid, 0) + 1
+
+    for fid, master in enumerate(masters):
+        absorb(fid, store.subject_index[master])
 
     progressed = True
     while pending and progressed:
         progressed = False
         for subject in list(pending):
-            best_count = 0
-            best_fid = None
-            for fid, counts in enumerate(references):
-                c = counts.get(subject, 0)
-                if c > best_count:
-                    best_count = c
-                    best_fid = fid
-            if best_fid is not None:
-                absorb(best_fid, pending.pop(subject))
+            counts = references.pop(subject, None)
+            if counts is not None:
+                best = min(counts, key=lambda fid: (-counts[fid], fid))
+                absorb(best, pending.pop(subject))
                 progressed = True
 
     orphan_count = 0

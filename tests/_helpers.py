@@ -51,6 +51,46 @@ def brute_force_top_subjects(store: TripleStore, k: int) -> list[str]:
     return [s for s, _ in ranked[:k]]
 
 
+def brute_force_fragments(
+    store: TripleStore, masters: list[str]
+) -> tuple[list[int], list[int], int]:
+    """Reference growth: (fragment id per position, fragment sizes, orphan
+    triples). Every score is recounted from the fragment's members."""
+    groups: dict[str, list[int]] = {}
+    for pos, t in enumerate(store.triples):
+        groups.setdefault(t.subject, []).append(pos)
+    members: list[list[int]] = [list(groups[m]) for m in masters]
+    pending = [s for s in groups if s not in masters]
+
+    def references(fid: int, subject: str) -> int:
+        return sum(
+            1 for pos in members[fid]
+            if not store.triples[pos].object_is_literal and store.triples[pos].object == subject
+        )
+
+    placed = True
+    while placed:
+        placed = False
+        for subject in list(pending):
+            scores = [references(fid, subject) for fid in range(len(masters))]
+            best = scores.index(max(scores))
+            if scores[best] > 0:
+                members[best].extend(groups[subject])
+                pending.remove(subject)
+                placed = True
+    orphans = 0
+    for subject in pending:
+        smallest = min(range(len(masters)), key=lambda fid: len(members[fid]))
+        members[smallest].extend(groups[subject])
+        orphans += len(groups[subject])
+
+    fragment_of = [0] * len(store.triples)
+    for fid, positions in enumerate(members):
+        for pos in positions:
+            fragment_of[pos] = fid
+    return fragment_of, [len(positions) for positions in members], orphans
+
+
 def brute_force_centrality(store: TripleStore) -> dict[str, tuple[float, int, int]]:
     acc: dict[str, tuple[set, int]] = {}
     for t in store.triples:

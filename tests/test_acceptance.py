@@ -202,14 +202,18 @@ def test_criterion_8_stage_times_scale_linearly():
     rows = run_scaling(config, [1, 2, 3, 4, 5], repeats=7)
     wall = time.perf_counter() - start
     ns = [r["n"] for r in rows]
-    fits = {}
-    for stage in ("ingest_ms", "partition_ms", "distribute_ms", "evaluate_ms"):
-        _, _, r2 = linear_fit_r2(ns, [r[stage] for r in rows])
-        assert r2 >= 0.9, f"{stage} not linear in n: r2={r2:.3f}"
-        fits[stage] = r2
-    largest_run_ms = sum(
-        rows[-1][stage] for stage in ("ingest_ms", "partition_ms", "distribute_ms", "evaluate_ms")
+    stages = ("ingest_ms", "partition_ms", "distribute_ms", "evaluate_ms")
+    medians = "; ".join(
+        f"{stage} " + ", ".join(f"{r[stage]:.1f}" for r in rows) for stage in stages
     )
+    fits = {}
+    for stage in stages:
+        _, _, r2 = linear_fit_r2(ns, [r[stage] for r in rows])
+        assert r2 >= 0.9, (
+            f"{stage} not linear in n: r2={r2:.3f}; ns={ns}; per-scale medians (ms): {medians}"
+        )
+        fits[stage] = r2
+    largest_run_ms = sum(rows[-1][stage] for stage in stages)
     assert largest_run_ms < 5 * 60 * 1000, f"5x run took {largest_run_ms:.0f}ms"
     summary = ", ".join(f"{k.removesuffix('_ms')} r2={v:.3f}" for k, v in fits.items())
     _ok(8, f"{summary}; 5x run {largest_run_ms / 1000:.1f}s (wall {wall:.1f}s)")

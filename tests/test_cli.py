@@ -28,6 +28,15 @@ def test_generate_rejects_input(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_rejects_config_input_path(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"input_path": str(tmp_path / "x.nt"), "sensors": 3}))
+    out = tmp_path / "g.nt"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    assert "input_path" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flags_set_only_their_own_config_fields():
     parser = build_parser()
     config = build_config(parser.parse_args([

@@ -4,10 +4,11 @@ import statistics
 import pytest
 
 from tripleshard.metrics import StageTimer, linear_fit_r2
-from tripleshard.partition import grow_fragments, subject_frequencies, top_subjects
+from tripleshard.generator import generate_sensor_graph
+from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.store import Triple, TripleStore
 
-from _helpers import brute_force_top_subjects, random_store
+from _helpers import brute_force_fragments, brute_force_top_subjects, random_store
 
 
 def _store(*rows):
@@ -41,11 +42,6 @@ def test_k_larger_than_distinct_subjects_reports_count():
 def test_k_must_be_positive():
     with pytest.raises(ValueError):
         top_subjects(_store(("a", "p", "x")), 0)
-
-
-def test_subject_frequencies_counts_triples():
-    store = _store(("a", "p", "x"), ("a", "q", "y"), ("b", "p", "z"))
-    assert subject_frequencies(store) == {"a": 2, "b": 1}
 
 
 def test_ranking_matches_brute_force_oracle():
@@ -147,6 +143,28 @@ def test_completeness_and_cohesion_randomized():
         for pos, fid in enumerate(result.fragment_of):
             s = store.triples[pos].subject
             assert subject_home.setdefault(s, fid) == fid
+
+
+def test_growth_matches_brute_force_oracle():
+    def check(store, masters):
+        result = grow_fragments(store, masters)
+        fragment_of, sizes, orphans = brute_force_fragments(store, masters)
+        assert list(result.fragment_of) == fragment_of
+        assert [f.size for f in result.fragments] == sizes
+        assert result.orphan_count == orphans
+        return orphans
+
+    rng = random.Random(29)
+    orphaned = 0
+    for _ in range(200):
+        store = random_store(rng, rng.randint(20, 300))
+        subjects = list(store.subject_index)
+        k = rng.randint(1, min(12, len(subjects)))
+        orphaned += check(store, rng.sample(subjects, k)) > 0
+    assert orphaned >= 20  # the fallback is exercised, not only growth
+    for seed in (1, 2, 3):
+        store = generate_sensor_graph(seed, 6, 5)
+        check(store, top_subjects(store, 4))
 
 
 def test_growth_is_deterministic():
