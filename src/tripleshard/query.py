@@ -10,6 +10,13 @@ own pass over its visible triples (owned plus replicas) is the cluster pass
 restricted to them. Bindings from the distributed route always equal the
 centralized reference because every triple is owned somewhere.
 
+The two routes also match patterns separately. The reference runs the generic
+matcher, which tests every term of every candidate triple. The distributed
+route reads each distinct probe's form once and matches its two common forms,
+``(S, P, ?o)`` and ``?s P ?o``, without a per-triple test; any other form
+goes to the generic matcher. A fault in the fast forms therefore shows as a
+binding that differs from the reference.
+
 A query is answered locally when the home node's visible triples alone
 reproduce the reference bindings. The latency proxy charges the triples
 scanned plus a flat penalty per additional node touched; it is a relative
@@ -175,6 +182,34 @@ def _pattern_matches(
     return candidates, matches
 
 
+def _probe_matches(
+    store: TripleStore, s: str, p: str, o: str
+) -> tuple[Sequence[int], list[tuple[int, dict[str, str]]]]:
+    """``_pattern_matches`` for the distributed route, which matches the two
+    probe forms that make up nearly all probes without a per-triple ``_bind``.
+
+    ``(S, P, ?o)`` keeps the subject's candidates whose predicate is ``P``;
+    every candidate of ``?s P ?o`` (``s != o``) matches. The form is read from
+    the probe's own terms, once per distinct probe: a value a row bound may
+    itself begin with ``?``, and ``_pattern_matches`` then reads it as a
+    variable, so the form is not fixed per pattern. The candidates, the
+    matches and their order are ``_pattern_matches``' own.
+    """
+    if is_variable(o) and not is_variable(p):
+        triples = store.triples
+        if not is_variable(s):
+            candidates = store.subject_index.get(s, ())
+            return candidates, [
+                (pos, {o: triples[pos].object}) for pos in candidates if triples[pos].predicate == p
+            ]
+        if s != o:
+            candidates = store.predicate_index.get(p, ())
+            return candidates, [
+                (pos, {s: triples[pos].subject, o: triples[pos].object}) for pos in candidates
+            ]
+    return _pattern_matches(store, s, p, o)
+
+
 def _dedupe(rows: list[dict[str, str]]) -> list[dict[str, str]]:
     seen: set[Binding] = set()
     out = []
@@ -279,7 +314,7 @@ def _propagate_eval(
         for row, reach in rows:
             key = (row.get(s, s), row.get(p, p), row.get(o, o))
             if key not in probes:
-                probes[key] = _pattern_matches(store, *key)
+                probes[key] = _probe_matches(store, *key)
             probe_reach[key] = probe_reach.get(key, 0) | reach
             for pos, ext in probes[key][1]:
                 matched.add(pos)
@@ -314,8 +349,17 @@ def _evaluate(
     # candidates counted by probe reach, then position mask: a handful of pairs
     counts: dict[int, Counter[int]] = {}
     for candidates, reach in probes:
-        counts.setdefault(reach, Counter()).update(map(seen_by.__getitem__, candidates))
+        if reach not in counts:
+            counts[reach] = Counter()
+        counts[reach].update(map(seen_by.__getitem__, candidates))
     served_masks = set(map(seen_by.__getitem__, matched))
+    # the nodes that could build every binding alone; when no node is left,
+    # as for most queries on a spread layout, the rest need not be read
+    everywhere = -1
+    for reach in bindings.values():
+        everywhere &= reach
+        if not everywhere:
+            break
     joins = len(q.patterns) - 1
     outcomes = []
     for home in homes:
@@ -327,7 +371,7 @@ def _evaluate(
                     remote += n
                 elif reach & bit:
                     scanned += n
-        locally_answered = all(reach & bit for reach in bindings.values())
+        locally_answered = bool(everywhere & bit)
         if locally_answered:
             nodes_touched = 1
         else:  # a position the home cannot see is unreplicated: one bit, its owner's

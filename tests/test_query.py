@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -306,6 +307,60 @@ def test_distributed_bindings_always_match_reference():
                     assert (
                         evaluate_distributed(store, use, q, home).bindings == reference
                     )
+
+
+def _matches(found):
+    candidates, matches = found
+    return list(candidates), [(pos, list(row.items())) for pos, row in matches]
+
+
+def test_probe_matcher_equals_the_generic_matcher():
+    # oracle: the distributed route's matcher examines the same candidates
+    # and finds the same matches, in the same order, as the reference's, on
+    # every constant/variable form, with repeated variables, absent terms and
+    # literal/resource twins
+    rng = random.Random(47)
+    for _ in range(12):
+        triples = list(random_store(rng, rng.randint(30, 300)).triples)
+        triples += [t._replace(object_is_literal=not t.object_is_literal)
+                    for t in rng.sample(triples, 10)]
+        store = TripleStore(triples)
+        pools = [
+            sorted(store.subject_index) + ["absent"],
+            sorted(store.predicate_index) + ["absent"],
+            sorted({t.object for t in store.triples}) + ["absent"],
+        ]
+        # each term constant (drawn from the store, or absent) or one of three
+        # variables: all eight forms, and every way to repeat a variable
+        patterns = set()
+        for _ in range(10):
+            options = [(rng.choice(pool), "?x", "?y", "?z") for pool in pools]
+            patterns.update(itertools.product(*options))
+        for pat in sorted(patterns):
+            assert _matches(query_module._probe_matches(store, *pat)) == _matches(
+                query_module._pattern_matches(store, *pat)
+            ), pat
+
+
+def test_distributed_route_binds_no_triple_on_common_shapes(monkeypatch):
+    # the reference stays independent: only it runs the generic matcher
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bind(*args)
+
+    bind = query_module._bind
+    monkeypatch.setattr(query_module, "_bind", counted)
+    store = generate_sensor_graph(23, 8, 10)
+    workload = generate_workload(store, 4, (6, 6, 0, 6))
+    assert {q.shape for q in workload} == {"linear", "star", "snowflake"}
+    for plan in (grown_plan(store, 3, 3), round_robin_triple_plan(store, 3)):
+        inc_report(store, plan, workload)
+    assert calls == []
+    for q in workload:
+        evaluate_centralized(store, q)
+    assert calls
 
 
 EDGE_STORE = _store(
