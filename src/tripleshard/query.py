@@ -12,10 +12,10 @@ centralized reference because every triple is owned somewhere.
 
 The two routes also match patterns separately. The reference runs the generic
 matcher, which tests every term of every candidate triple. The distributed
-route reads each distinct probe's form once and matches its two common forms,
-``(S, P, ?o)`` and ``?s P ?o``, without a per-triple test; any other form
-goes to the generic matcher. A fault in the fast forms therefore shows as a
-binding that differs from the reference.
+route reads each distinct probe's form once and matches the form that linear,
+star and snowflake queries send, ``(S, P, ?o)``, without a per-triple test;
+any other form goes to the generic matcher. A fault in the fast form
+therefore shows as a binding that differs from the reference.
 
 A query is answered locally when the home node's visible triples alone
 reproduce the reference bindings. The latency proxy charges the triples
@@ -29,7 +29,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Collection, NamedTuple, Sequence
 
@@ -185,28 +185,21 @@ def _pattern_matches(
 def _probe_matches(
     store: TripleStore, s: str, p: str, o: str
 ) -> tuple[Sequence[int], list[tuple[int, dict[str, str]]]]:
-    """``_pattern_matches`` for the distributed route, which matches the two
-    probe forms that make up nearly all probes without a per-triple ``_bind``.
-
-    ``(S, P, ?o)`` keeps the subject's candidates whose predicate is ``P``;
-    every candidate of ``?s P ?o`` (``s != o``) matches. The form is read from
-    the probe's own terms, once per distinct probe: a value a row bound may
-    itself begin with ``?``, and ``_pattern_matches`` then reads it as a
-    variable, so the form is not fixed per pattern. The candidates, the
-    matches and their order are ``_pattern_matches``' own.
+    """``_pattern_matches`` for the distributed route, which matches the
+    probe form of linear, star and snowflake queries, ``(S, P, ?o)``, without
+    a per-triple ``_bind``: it keeps the subject's candidates whose predicate
+    is ``P``. The form is read from the probe's own terms, once per distinct
+    probe: a value a row bound may itself begin with ``?``, and
+    ``_pattern_matches`` then reads it as a variable, so the form is not fixed
+    per pattern. The candidates, the matches and their order are
+    ``_pattern_matches``' own.
     """
-    if is_variable(o) and not is_variable(p):
+    if not is_variable(s) and not is_variable(p) and is_variable(o):
         triples = store.triples
-        if not is_variable(s):
-            candidates = store.subject_index.get(s, ())
-            return candidates, [
-                (pos, {o: triples[pos].object}) for pos in candidates if triples[pos].predicate == p
-            ]
-        if s != o:
-            candidates = store.predicate_index.get(p, ())
-            return candidates, [
-                (pos, {s: triples[pos].subject, o: triples[pos].object}) for pos in candidates
-            ]
+        candidates = store.subject_index.get(s, ())
+        return candidates, [
+            (pos, {o: triples[pos].object}) for pos in candidates if triples[pos].predicate == p
+        ]
     return _pattern_matches(store, s, p, o)
 
 
@@ -347,10 +340,8 @@ def _evaluate(
     seen_by = plan.seen_by
     bindings, matched, probes = _propagate_eval(store, q, seen_by)
     # candidates counted by probe reach, then position mask: a handful of pairs
-    counts: dict[int, Counter[int]] = {}
+    counts: defaultdict[int, Counter[int]] = defaultdict(Counter)
     for candidates, reach in probes:
-        if reach not in counts:
-            counts[reach] = Counter()
         counts[reach].update(map(seen_by.__getitem__, candidates))
     served_masks = set(map(seen_by.__getitem__, matched))
     # the nodes that could build every binding alone; when no node is left,
