@@ -22,6 +22,7 @@ from .metrics import StageTimer
 from .plan import PartitionPlan
 from .query import (
     DEFAULT_WORKLOAD_COUNTS,
+    IncReport,
     generate_workload,
     inc_report,
     inc_report_csv,
@@ -140,8 +141,7 @@ def load_store(config: PipelineConfig) -> TripleStore:
 class PipelineOutcome:
     store: TripleStore
     layout: Layout
-    workload: list
-    report: object
+    report: IncReport
     timer: StageTimer
 
 
@@ -154,53 +154,14 @@ def execute_pipeline(config: PipelineConfig) -> PipelineOutcome:
     layout = build_layout(store, config.k, config.nodes, config.threshold, timer)
     with timer.stage("evaluate"):
         workload = generate_workload(store, config.seed, config.workload_counts)
-        report = inc_report(store, layout.plan, workload, policy="best")
-    return PipelineOutcome(store, layout, workload, report, timer)
+        report = inc_report(store, layout.plan, workload)
+    return PipelineOutcome(store, layout, report, timer)
 
 
-def _report_text(config: PipelineConfig, outcome: PipelineOutcome) -> str:
-    store, layout = outcome.store, outcome.layout
-    loads = layout.plan.node_loads()
-    lines = [
-        "pipeline report",
-        f"triples {store.n}, distinct subjects {len(store.subject_index)}, "
-        f"k {config.k}, nodes {config.nodes}, seed {config.seed}",
-        "",
-        "stage timings (ms)",
-    ]
-    for name, ms in outcome.timer.stages_ms.items():
-        lines.append(f"  {name:<10} {ms:10.1f}")
-    lines.append("")
-    lines.append("fragments (id, master, size)")
-    for f in layout.partition.fragments:
-        lines.append(f"  {f.id:>3}  {f.master_subject:<24} {f.size}")
-    lines.append(f"orphan triples: {layout.partition.orphan_count}")
-    lines.append("")
-    lines.append("node loads (id, fragments, triples)")
-    for node_id, fids in enumerate(layout.plan.node_fragments):
-        lines.append(f"  {node_id:>3}  {list(fids)!r:<16} {loads[node_id]}")
-    lines.append(f"load spread (max - min): {max(loads) - min(loads)}")
-    lines.append("")
-    source = "derived" if config.threshold is None else "override"
-    lines.append("replication")
-    lines.append(f"  threshold {layout.decision.threshold:.4f} ({source})")
-    lines.append(
-        f"  predicates replicated: {len(layout.decision.replicated_predicates)}"
-        f" of {len(layout.table.values)}"
-    )
-    lines.append(
-        f"  triples replicated: {len(layout.decision.replicated_positions)}"
-        f" (level {layout.decision.replication_level:.4f})"
-    )
-    lines.append("")
-    lines.append(f"query workload ({len(outcome.workload)} queries, policy best)")
-    lines.append(inc_report_table(outcome.report).rstrip("\n"))
-    return "".join(line + "\n" for line in lines)
-
-
-def _report_json(config: PipelineConfig, outcome: PipelineOutcome) -> str:
+def _report_data(config: PipelineConfig, outcome: PipelineOutcome) -> dict:
+    """The figures of ``report.json``, which ``report.txt`` also reads."""
     report, layout = outcome.report, outcome.layout
-    data = {
+    return {
         "triples": outcome.store.n,
         "k": config.k,
         "nodes": config.nodes,
@@ -227,21 +188,62 @@ def _report_json(config: PipelineConfig, outcome: PipelineOutcome) -> str:
             "meanQetProxy": report.mean_qet_proxy,
         },
     }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _report_text(data: dict, outcome: PipelineOutcome) -> str:
+    layout, loads, replication = outcome.layout, data["nodeLoads"], data["replication"]
+    lines = [
+        "pipeline report",
+        f"triples {data['triples']}, distinct subjects {len(outcome.store.subject_index)}, "
+        f"k {data['k']}, nodes {data['nodes']}, seed {data['seed']}",
+        "",
+        "stage timings (ms)",
+    ]
+    for name, ms in data["stages_ms"].items():
+        lines.append(f"  {name:<10} {ms:10.1f}")
+    lines.append("")
+    lines.append("fragments (id, master, size)")
+    for f in data["fragments"]:
+        lines.append(f"  {f['id']:>3}  {f['master']:<24} {f['size']}")
+    lines.append(f"orphan triples: {data['orphanTriples']}")
+    lines.append("")
+    lines.append("node loads (id, fragments, triples)")
+    for node_id, load in enumerate(loads):
+        fids = [fid for fid, node in enumerate(layout.plan.node_of_fragment) if node == node_id]
+        lines.append(f"  {node_id:>3}  {fids!r:<16} {load}")
+    lines.append(f"load spread (max - min): {max(loads) - min(loads)}")
+    lines.append("")
+    source = "derived" if replication["derived"] else "override"
+    lines.append("replication")
+    lines.append(f"  threshold {replication['threshold']:.4f} ({source})")
+    lines.append(
+        f"  predicates replicated: {len(replication['replicatedPredicates'])}"
+        f" of {len(layout.table.values)}"
+    )
+    lines.append(
+        f"  triples replicated: {replication['replicatedTriples']}"
+        f" (level {replication['level']:.4f})"
+    )
+    lines.append("")
+    lines.append(f"query workload ({len(outcome.report.workload)} queries, policy best)")
+    lines.append(inc_report_table(outcome.report).rstrip("\n"))
+    lines.append(f"mean QET proxy (meanQetProxy) {data['inc']['meanQetProxy']:.1f}")
+    return "".join(line + "\n" for line in lines)
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineOutcome:
     """Execute all stages and write every artifact into ``config.out_dir``."""
     outcome = execute_pipeline(config)
+    data = _report_data(config, outcome)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "triples.nt").write_text(serialize_ntriples(outcome.store))
     (out / "plan.json").write_text(outcome.layout.plan.to_json())
     (out / "centrality.csv").write_text(centrality_csv(outcome.layout.table))
-    (out / "workload.json").write_text(workload_to_json(outcome.workload))
+    (out / "workload.json").write_text(workload_to_json(outcome.report.workload))
     (out / "inc_report.csv").write_text(inc_report_csv(outcome.report))
-    (out / "report.json").write_text(_report_json(config, outcome))
-    (out / "report.txt").write_text(_report_text(config, outcome))
+    (out / "report.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    (out / "report.txt").write_text(_report_text(data, outcome))
     return outcome
 
 
@@ -330,9 +332,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         workload = workload_from_json(Path(args.workload).read_text())
     else:
         workload = generate_workload(store, config.seed, config.workload_counts)
-    report = inc_report(
-        store, plan, workload, policy=args.policy, home_node=args.home
-    )
+    policy = "best" if args.home is None else "fixed"
+    report = inc_report(store, plan, workload, policy=policy, home_node=args.home or 0)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -344,7 +345,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config = build_config(args)
     outcome = run_pipeline(config)
-    print(_report_text(config, outcome), end="")
+    print((Path(config.out_dir) / "report.txt").read_text(), end="")
     print(f"artifacts written to {config.out_dir}")
     return 0
 
@@ -399,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_layout=False)
     p.add_argument("--plan", required=True, help="plan JSON written by pipeline")
     p.add_argument("--workload", help="workload JSON (default: generated from the store)")
-    p.add_argument("--policy", choices=("best", "fixed"), default="best")
-    p.add_argument("--home", type=int, default=0, help="home node for the fixed policy")
+    p.add_argument("--home", type=int, help="route every query to this node (default: best)")
     p.add_argument("--out", help="write the per-query CSV here")
     p.set_defaults(func=cmd_evaluate)
 

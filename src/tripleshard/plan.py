@@ -4,8 +4,8 @@ A plan is the durable artifact of the pipeline. Triple references are
 positions into the canonical serialized triple file written alongside the
 plan, so a plan plus that file fully describes the cluster layout.
 
-A plan stores each fact once and derives the rest (owners, per-node owned and
-replica positions, loads) on first use; it cannot change afterwards. So each
+A plan stores each fact once and derives the rest (owners, per-node replica
+positions, loads) on first use; it cannot change afterwards. So each
 triple sits in one fragment, each fragment on one node, and no node
 replicates what it owns.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, islice
@@ -66,14 +67,6 @@ class PartitionPlan:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @cached_property
-    def owned(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted positions each node owns."""
-        owned: list[list[int]] = [[] for _ in range(self.m)]
-        for pos, fid in enumerate(self.fragment_of):
-            owned[self.node_of_fragment[fid]].append(pos)
-        return tuple(map(tuple, owned))
-
-    @cached_property
     def replicas(self) -> tuple[tuple[int, ...], ...]:
         """Sorted replicated positions each node holds but does not own."""
         replica_owner = [self.owner_of(pos) for pos in self.replicated]
@@ -81,14 +74,6 @@ class PartitionPlan:
             tuple([pos for pos, o in zip(self.replicated, replica_owner) if o != node])
             for node in range(self.m)
         )
-
-    @cached_property
-    def node_fragments(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending fragment ids placed on each node."""
-        node_fragments: list[list[int]] = [[] for _ in range(self.m)]
-        for fid, node in enumerate(self.node_of_fragment):
-            node_fragments[node].append(fid)
-        return tuple(map(tuple, node_fragments))
 
     @property
     def k(self) -> int:
@@ -114,7 +99,11 @@ class PartitionPlan:
         return bytes(mask >> node_id & 1 for mask in self.seen_by)
 
     def node_loads(self) -> list[int]:
-        return [len(positions) for positions in self.owned]
+        """Triples each node owns: the sizes of its fragments."""
+        loads = [0] * self.m
+        for fid, size in Counter(self.fragment_of).items():
+            loads[self.node_of_fragment[fid]] += size
+        return loads
 
     def to_json(self) -> str:
         data = {name: getattr(self, name) for name in _FIELDS}

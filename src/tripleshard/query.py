@@ -12,10 +12,11 @@ centralized reference because every triple is owned somewhere.
 
 The two routes also match patterns separately. The reference runs the generic
 matcher, which tests every term of every candidate triple. The distributed
-route reads each distinct probe's form once and matches the form that linear,
-star and snowflake queries send, ``(S, P, ?o)``, without a per-triple test;
-any other form goes to the generic matcher. A fault in the fast form
-therefore shows as a binding that differs from the reference.
+route reads each pattern's form once, from the query, so a value a row bound
+is a constant whatever its text, and matches the form that linear, star and
+snowflake queries send, ``(S, P, ?o)``, without a per-triple test; any other
+form goes to the generic matcher. A fault in the fast form therefore shows as
+a binding that differs from the reference.
 
 A query is answered locally when the home node's visible triples alone
 reproduce the reference bindings. The latency proxy charges the triples
@@ -146,10 +147,10 @@ class QueryResult:
         return [dict(b) for b in sorted(self.bindings)]
 
 
-def _bind(triple, s: str, p: str, o: str) -> dict[str, str] | None:
+def _bind(triple, s: str, p: str, o: str, free: tuple[bool, ...]) -> dict[str, str] | None:
     row: dict[str, str] = {}
-    for term, value in ((s, triple.subject), (p, triple.predicate), (o, triple.object)):
-        if is_variable(term):
+    for term, value, var in zip((s, p, o), triple, free):
+        if var:
             if term in row and row[term] != value:
                 return None
             row[term] = value
@@ -159,48 +160,44 @@ def _bind(triple, s: str, p: str, o: str) -> dict[str, str] | None:
 
 
 def _pattern_matches(
-    store: TripleStore, s: str, p: str, o: str
+    store: TripleStore, s: str, p: str, o: str, free: tuple[bool, ...]
 ) -> tuple[Sequence[int], list[tuple[int, dict[str, str]]]]:
     """Match one (possibly partially bound) pattern against the store.
 
+    ``free`` marks each unbound variable; any other term is a constant.
     Candidates come from the subject index when the subject is constant, then
     the predicate index; a constant object alone falls back to a full scan
-    because objects are unindexed. Returns the candidate positions
-    examined and the matches.
+    because objects are unindexed. Returns the candidates and the matches.
     """
-    if not is_variable(s):
+    if not free[0]:
         candidates: Sequence[int] = store.subject_index.get(s, ())
-    elif not is_variable(p):
+    elif not free[1]:
         candidates = store.predicate_index.get(p, ())
     else:
         candidates = range(store.n)
     matches: list[tuple[int, dict[str, str]]] = []
     for pos in candidates:
-        row = _bind(store.triples[pos], s, p, o)
+        row = _bind(store.triples[pos], s, p, o, free)
         if row is not None:
             matches.append((pos, row))
     return candidates, matches
 
 
 def _probe_matches(
-    store: TripleStore, s: str, p: str, o: str
+    store: TripleStore, s: str, p: str, o: str, free: tuple[bool, ...]
 ) -> tuple[Sequence[int], list[tuple[int, dict[str, str]]]]:
     """``_pattern_matches`` for the distributed route, which matches the
     probe form of linear, star and snowflake queries, ``(S, P, ?o)``, without
     a per-triple ``_bind``: it keeps the subject's candidates whose predicate
-    is ``P``. The form is read from the probe's own terms, once per distinct
-    probe: a value a row bound may itself begin with ``?``, and
-    ``_pattern_matches`` then reads it as a variable, so the form is not fixed
-    per pattern. The candidates, the matches and their order are
-    ``_pattern_matches``' own.
+    is ``P``. Its candidates, matches and order are ``_pattern_matches``' own.
     """
-    if not is_variable(s) and not is_variable(p) and is_variable(o):
+    if free == (False, False, True):
         triples = store.triples
         candidates = store.subject_index.get(s, ())
         return candidates, [
             (pos, {o: triples[pos].object}) for pos in candidates if triples[pos].predicate == p
         ]
-    return _pattern_matches(store, s, p, o)
+    return _pattern_matches(store, s, p, o, free)
 
 
 def _dedupe(rows: list[dict[str, str]]) -> list[dict[str, str]]:
@@ -258,7 +255,7 @@ def evaluate_centralized(store: TripleStore, q: QueryPattern) -> QueryResult:
     scanned = 0
     rows: list[dict[str, str]] | None = None
     for pat in q.patterns:
-        candidates, matches = _pattern_matches(store, *pat)
+        candidates, matches = _pattern_matches(store, *pat, tuple(map(is_variable, pat)))
         scanned += len(candidates)
         relation = _dedupe([ext for _, ext in matches])
         rows = relation if rows is None else _hash_join(rows, relation)
@@ -276,7 +273,8 @@ def _propagate_eval(
     that built it: the nodes that could build it alone. Returns each binding
     with the OR of its rows' reach, the matched positions, and each distinct
     probe's candidates with the OR of the reach of the rows that sent it.
-    Probes are memoized so a repeated lookup is examined, and charged, once.
+    Each pattern's form is read once; probes are memoized by values and form,
+    so a repeated lookup is examined, and charged, once.
     Rows are not deduplicated between patterns: distinct triples extend a row
     distinctly, except a literal/resource twin, whose rows share a binding.
 
@@ -298,19 +296,20 @@ def _propagate_eval(
         return bindings, candidates, [(candidates, -1)]
 
     rows: list[tuple[dict[str, str], int]] = [({}, -1)]  # all bits set: every node starts
-    matched: set[int] = set()
-    probes: dict[tuple[str, str, str], tuple[Sequence[int], list]] = {}
-    probe_reach: dict[tuple[str, str, str], int] = {}
-    for pat in q.patterns:
-        s, p, o = pat
+    probes: dict[tuple, list] = {}  # [candidates, matches, reach]
+    for s, p, o in q.patterns:
+        bound = rows[0][0]  # every row of a step binds the same variables
+        # free: a variable (is_variable, inlined on this hot path) not yet bound
+        free = (s[0] == "?" and s not in bound, p[0] == "?" and p not in bound,
+                o[0] == "?" and o not in bound)
         next_rows: list[tuple[dict[str, str], int]] = []
         for row, reach in rows:
-            key = (row.get(s, s), row.get(p, p), row.get(o, o))
-            if key not in probes:
-                probes[key] = _probe_matches(store, *key)
-            probe_reach[key] = probe_reach.get(key, 0) | reach
-            for pos, ext in probes[key][1]:
-                matched.add(pos)
+            key = (row.get(s, s), row.get(p, p), row.get(o, o), free)
+            probe = probes.get(key)
+            if probe is None:
+                probe = probes[key] = [*_probe_matches(store, *key), 0]
+            probe[2] |= reach
+            for pos, ext in probe[1]:
                 next_rows.append((row | ext, reach & seen_by[pos]))
         rows = next_rows
         if not rows:
@@ -319,7 +318,8 @@ def _propagate_eval(
         if f is None or _in_range(f, row.get(term, term)):
             binding = tuple(sorted(row.items()))
             bindings[binding] = bindings.get(binding, 0) | reach
-    return bindings, matched, [(probes[key][0], reach) for key, reach in probe_reach.items()]
+    matched = {pos for _, matches, _ in probes.values() for pos, _ in matches}
+    return bindings, matched, [(candidates, reach) for candidates, _, reach in probes.values()]
 
 
 def _evaluate(

@@ -86,6 +86,38 @@ def test_evaluate_generates_the_configured_workload_counts(tmp_path):
     assert len(csv_out.read_text().splitlines()) == 2  # header and one query
 
 
+def _evaluate_args(tmp_path):
+    """Run a 3-node pipeline; return the evaluate arguments replaying its plan."""
+    run_dir = tmp_path / "run"
+    assert main(["pipeline", "--sensors", "6", "--observations", "8", "--k", "3",
+                 "--nodes", "3", "--seed", "4", "--out", str(run_dir)]) == 0
+    return ["evaluate", "--sensors", "6", "--observations", "8", "--seed", "4",
+            "--plan", str(run_dir / "plan.json")]
+
+
+def test_evaluate_home_routes_every_query_there(tmp_path):
+    evaluate = _evaluate_args(tmp_path)
+    csv_out = tmp_path / "inc.csv"
+    assert main([*evaluate, "--home", "1", "--out", str(csv_out)]) == 0
+    rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+    assert len(rows) == sum(PipelineConfig().workload_counts)
+    assert {row[2] for row in rows} == {"1"}
+    # without --home each query goes to its best node, as in the pipeline
+    assert main([*evaluate, "--out", str(csv_out)]) == 0
+    assert csv_out.read_text() == (tmp_path / "run" / "inc_report.csv").read_text()
+
+
+def test_evaluate_rejects_an_out_of_range_home(tmp_path, capsys):
+    evaluate = _evaluate_args(tmp_path)
+    capsys.readouterr()
+    for bad in ("3", "-1"):
+        assert main([*evaluate, "--home", bad]) == 2
+        assert "home node" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # the home alone picks the routing
+        main([*evaluate, "--policy", "fixed"])
+    assert exc.value.code == 2
+
+
 def test_pipeline_writes_all_artifacts(tmp_path):
     out = tmp_path / "run"
     rc = main(["pipeline", "--sensors", "8", "--observations", "10", "--k", "3",
@@ -108,6 +140,9 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     for section in ("stage timings", "fragments", "node loads", "replication",
                     "query workload"):
         assert section in text
+    # the paper's headline figure, read from the same dict as report.json
+    qet = f"mean QET proxy (meanQetProxy) {report['inc']['meanQetProxy']:.1f}\n"
+    assert qet in text
 
 
 def test_pipeline_is_deterministic_across_runs(tmp_path):

@@ -28,7 +28,9 @@ def test_owner_lookup_covers_every_position():
     plan = grown_plan(store, 2, 2)
     for pos in range(store.n):
         owner = plan.owner_of(pos)
-        assert pos in plan.owned[owner]
+        assert plan.seen_by[pos] == 1 << owner  # nothing replicated: the owner alone
+    owners = [plan.owner_of(pos) for pos in range(store.n)]
+    assert plan.node_loads() == [owners.count(node) for node in range(plan.m)]
 
 
 def test_validate_accepts_built_plans():

@@ -29,7 +29,7 @@ from tripleshard.query import (
     workload_to_json,
 )
 from tripleshard.replicate import compute_centrality, replicate
-from tripleshard.store import CsvMapping, Triple, TripleStore, ingest_csv
+from tripleshard.store import CsvMapping, Triple, TripleStore, ingest_csv, parse_ntriples
 
 from _helpers import grown_plan, random_store
 
@@ -317,12 +317,15 @@ def _matches(found):
 def test_probe_matcher_equals_the_generic_matcher():
     # oracle: the distributed route's matcher examines the same candidates
     # and finds the same matches, in the same order, as the reference's, on
-    # every constant/variable form, with repeated variables, absent terms and
-    # literal/resource twins
+    # every constant/variable form, with repeated variables, absent terms,
+    # literal/resource twins and constants that look like variables
     rng = random.Random(47)
+    names = ("?x", "?y", "?z")
     for _ in range(12):
         triples = list(random_store(rng, rng.randint(30, 300)).triples)
         triples += [t._replace(object_is_literal=not t.object_is_literal)
+                    for t in rng.sample(triples, 10)]
+        triples += [Triple(*(rng.choice((term, *names)) for term in t[:3]), t.object_is_literal)
                     for t in rng.sample(triples, 10)]
         store = TripleStore(triples)
         pools = [
@@ -330,16 +333,44 @@ def test_probe_matcher_equals_the_generic_matcher():
             sorted(store.predicate_index) + ["absent"],
             sorted({t.object for t in store.triples}) + ["absent"],
         ]
-        # each term constant (drawn from the store, or absent) or one of three
-        # variables: all eight forms, and every way to repeat a variable
+        # each term constant (drawn from the store, absent, or a variable's
+        # name) or one of three free variables: all eight forms, and every way
+        # to repeat a variable; the form is given, not read from the text
         patterns = set()
         for _ in range(10):
-            options = [(rng.choice(pool), "?x", "?y", "?z") for pool in pools]
+            options = [
+                [(rng.choice(pool), False), (rng.choice(names), False)]
+                + [(name, True) for name in names]
+                for pool in pools
+            ]
             patterns.update(itertools.product(*options))
         for pat in sorted(patterns):
-            assert _matches(query_module._probe_matches(store, *pat)) == _matches(
-                query_module._pattern_matches(store, *pat)
+            terms, free = zip(*pat)
+            assert _matches(query_module._probe_matches(store, *terms, free)) == _matches(
+                query_module._pattern_matches(store, *terms, free)
             ), pat
+
+
+@pytest.mark.parametrize("text, q, expected", [
+    # the first hop binds ?h1 to the resource <?x>; the second hop must look
+    # up that subject, not bind a variable named ?x
+    ('<a> <p> <?x> .\n<?x> <q> "v" .\n',
+     QueryPattern("linear", (TriplePattern("a", "p", "?h1"), TriplePattern("?h1", "q", "?h2"))),
+     {(("?h1", "?x"), ("?h2", "v"))}),
+    # ?v is bound to <?o>, so the third probe looks for the object <?o> and
+    # must not reuse the second probe, whose text is the same
+    ("<a> <q> <?o> .\n<a> <p> <b> .\n",
+     QueryPattern("star", (TriplePattern("a", "q", "?v"), TriplePattern("a", "p", "?o"),
+                           TriplePattern("a", "p", "?v"))),
+     set()),
+])
+def test_bound_values_that_look_like_variables_are_constants(text, q, expected):
+    store = parse_ntriples(text)
+    reference = evaluate_centralized(store, q).bindings
+    assert reference == expected
+    for plan in (round_robin_triple_plan(store, 2), round_robin_triple_plan(store, 1)):
+        for home in range(plan.m):
+            assert evaluate_distributed(store, plan, q, home).bindings == reference
 
 
 def test_distributed_route_binds_no_triple_on_common_shapes(monkeypatch):

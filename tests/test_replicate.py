@@ -112,7 +112,7 @@ def test_threshold_at_minimum_replicates_everything():
     decision, augmented = replicate(plan, table, min(table.values.values()), store)
     assert decision.replication_level == 1.0
     for node_id in range(3):
-        owned = set(augmented.owned[node_id])
+        owned = {pos for pos in range(store.n) if augmented.owner_of(pos) == node_id}
         assert owned | set(augmented.replicas[node_id]) == set(range(store.n))
         assert owned.isdisjoint(augmented.replicas[node_id])
 
@@ -165,8 +165,9 @@ def test_replicas_never_overlap_owned_data():
     augmented.validate(store)
     assert len(augmented.seen_by) == store.n
     for node_id in range(3):
-        assert set(augmented.owned[node_id]).isdisjoint(augmented.replicas[node_id])
-        held = set(augmented.owned[node_id]) | set(augmented.replicas[node_id])
+        owned = {pos for pos in range(store.n) if augmented.owner_of(pos) == node_id}
+        assert owned.isdisjoint(augmented.replicas[node_id])
+        held = owned | set(augmented.replicas[node_id])
         seen = {pos for pos, mask in enumerate(augmented.seen_by) if mask >> node_id & 1}
         assert seen == held
         mask = augmented.visible_positions(node_id)
