@@ -34,7 +34,7 @@ from .replicate import centrality_csv
 from .store import CsvMapping, TripleStore, ingest_csv, parse_ntriples, serialize_ntriples
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     input_path: str | None = None
     csv_mapping: CsvMapping | None = None
@@ -46,6 +46,9 @@ class PipelineConfig:
     seed: int = 7
     workload_counts: tuple[int, ...] = DEFAULT_WORKLOAD_COUNTS
     out_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Check each field's type, naming its key, then its range."""
@@ -115,9 +118,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         value = getattr(args, field.name, None)
         if value is not None:
             data[field.name] = value
-    config = PipelineConfig(**data)
-    config.validate()
-    return config
+    return PipelineConfig(**data)
 
 
 def load_store(config: PipelineConfig) -> TripleStore:
@@ -147,7 +148,6 @@ class PipelineOutcome:
 
 def execute_pipeline(config: PipelineConfig) -> PipelineOutcome:
     """Run every stage in memory and return all intermediate products."""
-    config.validate()
     timer = StageTimer()
     with timer.stage("ingest"):
         store = load_store(config)
@@ -344,7 +344,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config = build_config(args)
-    outcome = run_pipeline(config)
+    run_pipeline(config)
     print((Path(config.out_dir) / "report.txt").read_text(), end="")
     print(f"artifacts written to {config.out_dir}")
     return 0

@@ -5,9 +5,9 @@ positions into the canonical serialized triple file written alongside the
 plan, so a plan plus that file fully describes the cluster layout.
 
 A plan stores each fact once and derives the rest (owners, per-node replica
-positions, loads) on first use; it cannot change afterwards. So each
-triple sits in one fragment, each fragment on one node, and no node
-replicates what it owns.
+positions, loads) on first use; it is checked when built and cannot change
+afterwards. So each triple sits in one fragment, each fragment on one node,
+and no node replicates what it owns.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ class PartitionPlan:
     replicated: tuple[int, ...] = ()  # sorted positions copied to every non-owner
 
     def __post_init__(self):
+        _check({name: getattr(self, name) for name in _FIELDS})
         for name in ("fragment_masters", "fragment_of", "node_of_fragment", "replicated"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
@@ -121,15 +122,11 @@ class PartitionPlan:
         missing = [name for name in _FIELDS if name not in data]
         if missing:
             raise PlanError(f"plan JSON missing required field: {', '.join(missing)}")
-        facts = {name: data[name] for name in _FIELDS}
-        _check(facts)
-        return cls(**facts)
+        return cls(**{name: data[name] for name in _FIELDS})
 
     def validate(self, store: TripleStore) -> None:
-        """Check the stored facts are well-formed and cover exactly the
-        store's triples; raise PlanError. The rest holds by construction.
-        """
-        _check({name: getattr(self, name) for name in _FIELDS})
+        """Raise PlanError unless the plan covers as many triples as the
+        store holds; the rest was checked when the plan was built."""
         if len(self.fragment_of) != store.n:
             raise PlanError(f"fragment_of covers {len(self.fragment_of)} of {store.n} triples")
 
@@ -157,8 +154,6 @@ def round_robin_triple_plan(store: TripleStore, m: int) -> PartitionPlan:
     Used as the comparison point for locality measurements; it ignores
     subject cohesion entirely.
     """
-    if m < 1:
-        raise ValueError(f"node count must be at least 1, got {m}")
     return PartitionPlan(
         fragment_masters=[
             store.triples[node].subject if node < store.n else "" for node in range(m)

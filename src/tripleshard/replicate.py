@@ -10,6 +10,8 @@ shared properties become answerable everywhere.
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -101,8 +103,10 @@ def replicate(
 
 def centrality_csv(table: CentralityTable) -> str:
     """CSV dump of the table, sorted by predicate for stable output."""
-    lines = ["predicate,distinctSubjects,edgeCount,centrality"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("predicate", "distinctSubjects", "edgeCount", "centrality"))
     for predicate in sorted(table.values):
         distinct, edges = table.counts[predicate]
-        lines.append(f"{predicate},{distinct},{edges},{table.values[predicate]:.6f}")
-    return "".join(line + "\n" for line in lines)
+        writer.writerow((predicate, distinct, edges, f"{table.values[predicate]:.6f}"))
+    return out.getvalue()

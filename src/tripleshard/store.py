@@ -155,9 +155,14 @@ def serialize_ntriples(store: TripleStore) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# what a resource term cannot hold, and the line breaks str.splitlines splits on
+_NOT_IN_RESOURCE = re.compile(r"[\s<>]").search
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]").search
+
+
 @dataclass(frozen=True)
 class CsvMapping:
-    """How to turn tabular rows into triples.
+    """How to turn tabular rows into triples; checked when built.
 
     ``subject_column`` names the column holding the subject identifier and
     ``properties`` pairs a predicate name with the column providing its
@@ -169,10 +174,12 @@ class CsvMapping:
     properties: tuple[tuple[str, str], ...]
     resource_columns: frozenset[str] = frozenset()
 
-
-# what a resource term cannot hold, and the line breaks str.splitlines splits on
-_NOT_IN_RESOURCE = re.compile(r"[\s<>]").search
-_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]").search
+    def __post_init__(self) -> None:
+        for predicate, _ in self.properties:
+            if not predicate or _NOT_IN_RESOURCE(predicate):
+                raise IngestError(
+                    f"predicate {predicate!r} must be a name without whitespace, '<' or '>'"
+                )
 
 
 def _unwritable(line: int, column: str, value: str, is_literal: bool) -> IngestError:
@@ -189,7 +196,7 @@ class CsvIngestResult:
     skipped_cells: int
 
 
-def ingest_csv(source: str | Iterable[str], mapping: CsvMapping) -> CsvIngestResult:
+def ingest_csv(source: str, mapping: CsvMapping) -> CsvIngestResult:
     """Convert header-bearing CSV rows into triples, one per mapped cell.
 
     Empty object cells are skipped and counted; a row with an empty subject
@@ -198,16 +205,9 @@ def ingest_csv(source: str | Iterable[str], mapping: CsvMapping) -> CsvIngestRes
     column. So does what ``serialize_ntriples`` could not write back, naming
     also the CSV line on which the row ends: a subject or resource cell
     holding whitespace, ``<`` or ``>``, or a literal cell holding a line
-    break. Predicate names are checked like resource cells, up front.
+    break.
     """
-    for predicate, _ in mapping.properties:
-        if not predicate or _NOT_IN_RESOURCE(predicate):
-            raise IngestError(
-                f"predicate {predicate!r} must be a name without whitespace, '<' or '>'"
-            )
-    if isinstance(source, str):
-        source = io.StringIO(source, newline="")
-    reader = csv.DictReader(source)
+    reader = csv.DictReader(io.StringIO(source, newline=""))
     header = reader.fieldnames or []
     needed = [mapping.subject_column] + [col for _, col in mapping.properties]
     for col in needed:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -310,6 +311,11 @@ def test_config_values_of_the_wrong_type_name_the_key(tmp_path, capsys, key, val
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be"), err
     assert not (tmp_path / "run").exists()
+
+
+def test_config_is_checked_when_replaced():
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        replace(PipelineConfig(), k=0)
 
 
 @pytest.mark.parametrize("key, value", [("threshold", 1), ("threshold", None), ("k", 2)])

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from tripleshard.plan import PartitionPlan, PlanError, round_robin_triple_plan
+from tripleshard.partition import grow_fragments, top_subjects
+from tripleshard.plan import PartitionPlan, PlanError, build_plan, round_robin_triple_plan
 from tripleshard.store import Triple, TripleStore
 
 from _helpers import grown_plan
@@ -61,6 +62,28 @@ def test_validate_rejects_unassigned_fragment():
     data["node_of_fragment"] = data["node_of_fragment"][:1]
     with pytest.raises(PlanError, match="node_of_fragment"):
         PartitionPlan.from_json(json.dumps(data))
+
+
+def test_build_plan_rejects_unassigned_fragment():
+    store = _store()
+    partition = grow_fragments(store, top_subjects(store, 3))
+    with pytest.raises(PlanError, match="node_of_fragment"):
+        build_plan(partition, ((0,), (1,)))  # fragment 2 is on no node
+
+
+def test_replace_rejects_unsorted_replicated():
+    with pytest.raises(PlanError, match="replicated"):
+        replace(grown_plan(_store(), 2, 2), replicated=(5, 3, 3))
+
+
+def test_constructor_rejects_replica_past_the_store():
+    with pytest.raises(PlanError, match="replicated"):
+        PartitionPlan(("a",), (0, 0), (0,), 1, (7,))
+
+
+def test_round_robin_plan_needs_a_node():
+    with pytest.raises(PlanError, match="m must be a positive integer"):
+        round_robin_triple_plan(_store(), 0)
 
 
 def test_from_json_requires_contiguous_ids():

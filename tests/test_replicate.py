@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -56,6 +58,13 @@ def test_centrality_csv_layout():
     lines = text.splitlines()
     assert lines[0] == "predicate,distinctSubjects,edgeCount,centrality"
     assert lines[1] == "p,1,2,0.500000"
+
+
+def test_centrality_csv_quotes_predicates_that_need_it():
+    predicates = ("http://x/p,q", 'say"hi', "plain")
+    table = compute_centrality(_store(*(("a", p, "1") for p in predicates)))
+    rows = list(csv.reader(io.StringIO(centrality_csv(table))))
+    assert rows[1:] == [[p, "1", "1", "1.000000"] for p in sorted(predicates)]
 
 
 # --- threshold derivation --------------------------------------------------

@@ -224,6 +224,11 @@ def test_ingest_rejects_unwritable_predicate_names(predicate):
         ingest_csv("id,temp\ns1,20\n", CsvMapping("id", ((predicate, "temp"),)))
 
 
+def test_mapping_checks_predicate_names_when_built():
+    with pytest.raises(IngestError, match="'has temp'"):
+        CsvMapping("id", (("has temp", "temp"),))
+
+
 def test_ingested_store_round_trips_through_the_writer():
     text = 'id,label,target\ns1,"a label, quoted",s2\ns2,"say ""hi"" \\\\ back",s1\n'
     mapping = CsvMapping("id", (("label", "label"), ("linksTo", "target")),
