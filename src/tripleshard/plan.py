@@ -92,6 +92,16 @@ class PartitionPlan:
             seen[pos] = (1 << self.m) - 1
         return tuple(seen)
 
+    def store_cache(self, store: TripleStore) -> dict:
+        """A dict for what the query engine derives from this plan and
+        ``store``, kept on the plan while calls name the same store object
+        and started afresh for another. It takes no part in ``==`` or the
+        plan file, and a copy made with ``dataclasses.replace`` has its own."""
+        cache = self.__dict__.get("_store_cache")
+        if cache is None or cache[0] is not store:
+            cache = self.__dict__["_store_cache"] = (store, {})
+        return cache[1]
+
     def visible_positions(self, node_id: int) -> bytes:
         """Mask that is 1 at each position the node holds (owned or replica):
         test ``mask[pos]``, as ``pos in mask`` searches the byte values."""
@@ -135,10 +145,20 @@ def build_plan(
     partition: PartitionResult, allocation: Sequence[Sequence[int]]
 ) -> PartitionPlan:
     """Combine a partition and the fragment ids of each node (as ``allocate``
-    returns them) into a plan with nothing replicated."""
-    node_of_fragment = [None] * len(partition.fragments)
+    returns them) into a plan with nothing replicated. A fragment id outside
+    the partition, or one that two nodes (or one node twice) list, raises
+    PlanError."""
+    k = len(partition.fragments)
+    node_of_fragment: list[int | None] = [None] * k
     for node_id, fragment_ids in enumerate(allocation):
         for fid in fragment_ids:
+            if type(fid) is not int or not 0 <= fid < k:
+                raise PlanError(f"node {node_id} lists fragment {fid!r}, outside 0..{k - 1}")
+            if node_of_fragment[fid] is not None:
+                raise PlanError(
+                    f"fragment {fid} is placed twice: on node {node_of_fragment[fid]} "
+                    f"and on node {node_id}"
+                )
             node_of_fragment[fid] = node_id
     return PartitionPlan(
         fragment_masters=[f.master_subject for f in partition.fragments],

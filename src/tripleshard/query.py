@@ -18,6 +18,12 @@ snowflake queries send, ``(S, P, ?o)``, without a per-triple test; any other
 form goes to the generic matcher. A fault in the fast form therefore shows as
 a binding that differs from the reference.
 
+A range scan ``?s P ?o`` builds no rows in the distributed route: its costs
+are read from a per-plan range summary of ``P``, built on the first scan of
+``P`` and cached on the plan, with two bisects per node. Its bindings are
+built only when iterated, and only ``evaluate_distributed`` does that;
+``inc_report`` prices a query without them.
+
 A query is answered locally when the home node's visible triples alone
 reproduce the reference bindings. The latency proxy charges the triples
 scanned plus a flat penalty per additional node touched; it is a relative
@@ -29,10 +35,11 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .plan import PartitionPlan
 from .store import TripleStore
@@ -264,37 +271,91 @@ def evaluate_centralized(store: TripleStore, q: QueryPattern) -> QueryResult:
     return QueryResult(_freeze(rows), QueryOutcome(0, joins, 1, True, scanned, scanned))
 
 
+class _RangeReach(NamedTuple):
+    """What a range scan ``?s P ?o`` reads of one plan and store.
+
+    ``counts`` is the ``seen_by`` histogram of P's candidates, all of which
+    the scan examines and matches. ``blind`` holds, per node, the sorted
+    offsets into ``numeric_index(P)`` whose binding that node cannot build
+    alone; a literal/resource twin's reach is ORed in, as the twins share
+    one binding. A node builds every binding of the slice ``[lo, hi)`` alone
+    exactly when none of its offsets lies in it.
+    """
+
+    counts: Counter[int]
+    blind: tuple[array, ...]
+
+
+def _range_reach(store: TripleStore, plan: PartitionPlan, p: str) -> _RangeReach:
+    """The plan's range summary of ``p``, built on first use and cached on
+    the plan for ``store``."""
+    cache = plan.store_cache(store)
+    summary = cache.get(p)
+    if summary is None:
+        seen_by, triples = plan.seen_by, store.triples
+        _, positions = store.numeric_index(p)
+        keys = [(triples[pos].subject, triples[pos].object) for pos in positions]
+        shared: dict[tuple[str, str], int] = {}
+        for key, pos in zip(keys, positions):
+            shared[key] = shared.get(key, 0) | seen_by[pos]
+        reach = list(map(shared.__getitem__, keys))
+        summary = cache[p] = _RangeReach(
+            Counter(map(seen_by.__getitem__, store.predicate_index.get(p, ()))),
+            tuple(
+                array("I", [i for i, r in enumerate(reach) if not r >> node & 1])
+                for node in range(plan.m)
+            ),
+        )
+    return summary
+
+
+def _slice_bindings(
+    triples: Sequence, positions: Sequence[int], lo: int, hi: int, s: str, term: str
+) -> Iterator[Binding]:
+    """The bindings of the range scan rows ``positions[lo:hi]``, built as
+    they are iterated; a literal/resource twin yields its binding twice."""
+    flip = term < s  # a binding lists its variables by name
+    for pos in positions[lo:hi]:
+        subject, _, obj, _ = triples[pos]
+        yield ((term, obj), (s, subject)) if flip else ((s, subject), (term, obj))
+
+
 def _propagate_eval(
-    store: TripleStore, q: QueryPattern, seen_by: Sequence[int]
-) -> tuple[dict[Binding, int], Collection[int], list[tuple[Sequence[int], int]]]:
+    store: TripleStore, q: QueryPattern, plan: PartitionPlan
+) -> tuple[Iterable[Binding], int, Mapping[int, Counter[int]], Collection[int]]:
     """Index-nested-loop evaluation with binding propagation, cluster-wide.
 
     Each row carries its reach, the AND of ``seen_by`` over the positions
-    that built it: the nodes that could build it alone. Returns each binding
-    with the OR of its rows' reach, the matched positions, and each distinct
-    probe's candidates with the OR of the reach of the rows that sent it.
+    that built it: the nodes that could build it alone. Returns the bindings;
+    the nodes that could build every binding alone, the AND over bindings of
+    the OR of their rows' reach; per probe reach (the OR of the reach of the
+    rows that sent a probe), the ``seen_by`` histogram of the candidates
+    examined; and the ``seen_by`` masks of the matched positions.
     Each pattern's form is read once; probes are memoized by values and form,
     so a repeated lookup is examined, and charged, once.
     Rows are not deduplicated between patterns: distinct triples extend a row
     distinctly, except a literal/resource twin, whose rows share a binding.
 
-    A range scan ``?s P ?o`` builds rows only for the in-range slice of the
-    store's numeric index of ``P``; it still examines, and matches, every
-    candidate of ``P``, as the generic path does.
+    A range scan ``?s P ?o`` builds no rows. Two bisects find the in-range
+    slice of the store's numeric index of ``P``, and two more per node, into
+    the plan's range summary of ``P`` (``_range_reach``), tell whether that
+    node could build the slice's bindings alone. Like the generic path, it
+    examines, and matches, every candidate of ``P``. Its bindings are built
+    only when iterated, which only ``evaluate_distributed`` does.
     """
     f, (s, p, term) = q.range_filter, q.patterns[0]
-    bindings: dict[Binding, int] = {}
     if f is not None and is_variable(s) and is_variable(term) and s != term and not is_variable(p):
         values, positions = store.numeric_index(p)
-        triples = store.triples
-        flip = term < s  # a binding lists its variables by name
-        for pos in positions[bisect_left(values, f.low):bisect_right(values, f.high)]:
-            subject, _, obj, _ = triples[pos]
-            binding = ((term, obj), (s, subject)) if flip else ((s, subject), (term, obj))
-            bindings[binding] = bindings.get(binding, 0) | seen_by[pos]
-        candidates = store.predicate_index.get(p, ())
-        return bindings, candidates, [(candidates, -1)]
+        lo, hi = bisect_left(values, f.low), bisect_right(values, f.high)
+        summary = _range_reach(store, plan, p)
+        everywhere = 0
+        for node, blind in enumerate(summary.blind):
+            if bisect_left(blind, lo) == bisect_left(blind, hi):
+                everywhere |= 1 << node
+        bindings = _slice_bindings(store.triples, positions, lo, hi, s, term)
+        return bindings, everywhere, {-1: summary.counts}, summary.counts.keys()
 
+    seen_by = plan.seen_by
     rows: list[tuple[dict[str, str], int]] = [({}, -1)]  # all bits set: every node starts
     probes: dict[tuple, list] = {}  # [candidates, matches, reach]
     for s, p, o in q.patterns:
@@ -314,18 +375,31 @@ def _propagate_eval(
         rows = next_rows
         if not rows:
             break
+    bindings: dict[Binding, int] = {}
     for row, reach in rows:
         if f is None or _in_range(f, row.get(term, term)):
             binding = tuple(sorted(row.items()))
             bindings[binding] = bindings.get(binding, 0) | reach
-    matched = {pos for _, matches, _ in probes.values() for pos, _ in matches}
-    return bindings, matched, [(candidates, reach) for candidates, _, reach in probes.values()]
+    # candidates counted by probe reach, then position mask: a handful of pairs
+    counts: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    for candidates, _, reach in probes.values():
+        counts[reach].update(map(seen_by.__getitem__, candidates))
+    served = {seen_by[pos] for _, matches, _ in probes.values() for pos, _ in matches}
+    # when no node is left, as for most queries on a spread layout, the rest
+    # of the bindings need not be read
+    everywhere = -1
+    for reach in bindings.values():
+        everywhere &= reach
+        if not everywhere:
+            break
+    return bindings, everywhere, counts, served
 
 
 def _evaluate(
     store: TripleStore, plan: PartitionPlan, q: QueryPattern, homes: Sequence[int]
-) -> tuple[frozenset[Binding], list[QueryOutcome]]:
-    """Cluster-wide bindings of ``q`` and its cost from each of ``homes``.
+) -> tuple[Iterable[Binding], list[QueryOutcome]]:
+    """Cluster-wide bindings of ``q``, unbuilt for a range scan, and its cost
+    from each of ``homes``.
 
     A home's own pass over its visible triples is the cluster pass restricted
     to them, so it is read from the one pass: the home scans the visible
@@ -337,20 +411,7 @@ def _evaluate(
     for home in homes:
         if not 0 <= home < plan.m:
             raise ValueError(f"home node {home} outside 0..{plan.m - 1}")
-    seen_by = plan.seen_by
-    bindings, matched, probes = _propagate_eval(store, q, seen_by)
-    # candidates counted by probe reach, then position mask: a handful of pairs
-    counts: defaultdict[int, Counter[int]] = defaultdict(Counter)
-    for candidates, reach in probes:
-        counts[reach].update(map(seen_by.__getitem__, candidates))
-    served_masks = set(map(seen_by.__getitem__, matched))
-    # the nodes that could build every binding alone; when no node is left,
-    # as for most queries on a spread layout, the rest need not be read
-    everywhere = -1
-    for reach in bindings.values():
-        everywhere &= reach
-        if not everywhere:
-            break
+    bindings, everywhere, counts, served_masks = _propagate_eval(store, q, plan)
     joins = len(q.patterns) - 1
     outcomes = []
     for home in homes:
@@ -372,7 +433,7 @@ def _evaluate(
             home, joins, nodes_touched, locally_answered, scanned,
             scanned + HOP_PENALTY * (nodes_touched - 1),
         ))
-    return frozenset(bindings), outcomes
+    return bindings, outcomes
 
 
 def evaluate_distributed(
@@ -380,10 +441,11 @@ def evaluate_distributed(
 ) -> QueryResult:
     """Simulate evaluation routed to ``home_node`` under the given plan.
 
-    Returned bindings are always the cluster-wide (reference-equal) bindings.
+    Returned bindings are always the cluster-wide (reference-equal) bindings;
+    this is the one caller of the distributed pass that builds them.
     """
     bindings, (outcome,) = _evaluate(store, plan, q, (home_node,))
-    return QueryResult(bindings, outcome)
+    return QueryResult(frozenset(bindings), outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import random
 from tripleshard.allocate import allocate
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.plan import PartitionPlan, build_plan
+from tripleshard.query import HOP_PENALTY, QueryOutcome, QueryPattern
 from tripleshard.store import Triple, TripleStore
 
 
@@ -110,3 +111,68 @@ def round_robin_loads(sizes: list[int], m: int) -> list[int]:
     for slot, fragment_id in enumerate(order):
         loads[slot % m] += sizes[fragment_id]
     return loads
+
+
+# objects float() reads as numbers, NaN, infinities, or not at all
+RANGE_OBJECTS = (
+    "0", "1", "1.0", "2.5", "-3", "7", " 7 ", "1e2", "1_0", "nan", "NaN", "inf", "-inf",
+    "Infinity", "-Infinity", "hot", "x7", "s0",
+)
+
+
+def numeric_store(rng: random.Random, n: int | None = None) -> TripleStore:
+    """A random store for range scans: objects mix numbers (many equal),
+    NaN, infinities and text, and about one triple in five has a
+    literal/resource twin, a triple that differs only in its literal flag."""
+    if n is None:
+        n = rng.randint(1, 60)
+    subjects = [f"s{i}" for i in range(max(1, n // 3))]
+    predicates = [f"p{i}" for i in range(rng.randint(1, 3))]
+    triples = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            obj = rng.choice(RANGE_OBJECTS)
+        else:
+            obj = str(rng.randint(-4, 4) / 2)
+        t = Triple(rng.choice(subjects), rng.choice(predicates), obj, rng.random() < 0.7)
+        triples.append(t)
+        if rng.random() < 0.2:
+            triples.append(t._replace(object_is_literal=not t.object_is_literal))
+    return TripleStore(triples)
+
+
+def range_oracle(
+    store: TripleStore, plan: PartitionPlan, q: QueryPattern, home: int
+) -> tuple[frozenset, QueryOutcome]:
+    """Row by row, the bindings and cost of a range scan ``?s P ?o`` sent to
+    ``home``: each in-range row ORs the nodes that hold its triple into its
+    binding's reach, and the scan examines every triple of P."""
+    s, p, o = q.patterns[0]
+    f = q.range_filter
+    replicated = set(plan.replicated)
+
+    def nodes(pos: int) -> set[int]:
+        if pos in replicated:
+            return set(range(plan.m))
+        return {plan.node_of_fragment[plan.fragment_of[pos]]}
+
+    candidates = [pos for pos, t in enumerate(store.triples) if t.predicate == p]
+    reach: dict[tuple, set[int]] = {}
+    for pos in candidates:
+        t = store.triples[pos]
+        try:
+            value = float(t.object)
+        except ValueError:
+            continue
+        if f.low <= value <= f.high:
+            binding = tuple(sorted({s: t.subject, o: t.object}.items()))
+            reach[binding] = reach.get(binding, set()) | nodes(pos)
+    local = all(home in r for r in reach.values())
+    if local:
+        touched = 1
+        scanned = sum(home in nodes(pos) for pos in candidates)
+    else:
+        touched = len({home if home in nodes(pos) else min(nodes(pos)) for pos in candidates})
+        scanned = len(candidates)
+    outcome = QueryOutcome(home, 0, touched, local, scanned, scanned + HOP_PENALTY * (touched - 1))
+    return frozenset(reach), outcome

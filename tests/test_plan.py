@@ -71,6 +71,22 @@ def test_build_plan_rejects_unassigned_fragment():
         build_plan(partition, ((0,), (1,)))  # fragment 2 is on no node
 
 
+@pytest.mark.parametrize("allocation, message", [
+    pytest.param(((0, 1, 2), (2,)), r"fragment 2 is placed twice: on node 0 and on node 1",
+                 id="two-nodes"),
+    pytest.param(((0, 1, 1), (2,)), r"fragment 1 is placed twice: on node 0 and on node 0",
+                 id="one-node-twice"),
+    pytest.param(((0, 1), (-1,)), r"node 1 lists fragment -1, outside 0\.\.2", id="negative"),
+    pytest.param(((0, 1), (3,)), r"node 1 lists fragment 3, outside 0\.\.2", id="past-the-end"),
+    pytest.param(((0, True), (2,)), r"node 0 lists fragment True, outside 0\.\.2", id="bool"),
+])
+def test_build_plan_rejects_a_fragment_placed_twice_or_out_of_range(allocation, message):
+    store = _store()
+    partition = grow_fragments(store, top_subjects(store, 3))
+    with pytest.raises(PlanError, match=message):
+        build_plan(partition, allocation)
+
+
 def test_replace_rejects_unsorted_replicated():
     with pytest.raises(PlanError, match="replicated"):
         replace(grown_plan(_store(), 2, 2), replicated=(5, 3, 3))

@@ -16,6 +16,7 @@ from tripleshard.query import (
     DEFAULT_WORKLOAD_COUNTS,
     HOP_PENALTY,
     QueryPattern,
+    QueryResult,
     RangeFilter,
     TriplePattern,
     evaluate_centralized,
@@ -31,7 +32,7 @@ from tripleshard.query import (
 from tripleshard.replicate import compute_centrality, replicate
 from tripleshard.store import CsvMapping, Triple, TripleStore, ingest_csv, parse_ntriples
 
-from _helpers import grown_plan, random_store
+from _helpers import grown_plan, numeric_store, random_store, range_oracle
 
 
 def _store(*rows):
@@ -496,6 +497,81 @@ def test_home_metrics_match_a_pass_over_the_home_data_alone():
                         assert metrics.triples_scanned == own
                     else:
                         assert metrics.triples_scanned >= own
+
+
+def _range_queries(rng, store):
+    """Range scans of each predicate, and of an absent one, whose bounds give
+    full, one-value, empty and infinite slices, with both variable orders."""
+    queries = []
+    for p in [*store.predicate_index, "absent"]:
+        values = []
+        for t in store.triples:
+            if t.predicate == p:
+                try:
+                    value = float(t.object)
+                except ValueError:
+                    continue
+                if not math.isnan(value):
+                    values.append(value)
+        picks = values or [0.0]
+        v = rng.choice(picks)
+        low, high = sorted(rng.choice(picks) for _ in range(2))
+        inf = math.inf
+        for bounds in ((-inf, inf), (v, v), (low, high), (v + 0.25, v + 0.25),
+                       (max(picks) + 1, inf), (-inf, -inf), (inf, inf), (-inf, v), (v, inf)):
+            s, o = rng.choice((("?s", "?value"), ("?z", "?a")))
+            queries.append(QueryPattern("range", (TriplePattern(s, p, o),), RangeFilter(p, *bounds)))
+    return queries
+
+
+def _best(outcomes):
+    return min(outcomes, key=lambda o: (o.nodes_touched, not o.locally_answered, o.home_node))
+
+
+def test_range_scans_match_a_row_by_row_oracle():
+    rng = random.Random(41)
+    for _ in range(200):
+        store = numeric_store(rng)
+        plan = _random_plan(rng, store, rng.randint(1, 6), rng.randint(1, 6))
+        queries = _range_queries(rng, store)
+        expected = [[range_oracle(store, plan, q, home) for home in range(plan.m)] for q in queries]
+        for home in range(plan.m):
+            report = inc_report(store, plan, queries, policy="fixed", home_node=home)
+            assert report.outcomes == [per_home[home][1] for per_home in expected]
+            for q, per_home in zip(queries, expected):
+                assert evaluate_distributed(store, plan, q, home) == QueryResult(*per_home[home])
+        best = inc_report(store, plan, queries, policy="best").outcomes
+        assert best == [_best([outcome for _, outcome in per_home]) for per_home in expected]
+
+
+def test_range_summary_follows_the_store_and_the_plan():
+    # one plan over two stores of equal size: the rows in [1, 2] are on
+    # node 0 in the first store and on node 1 in the second
+    plan = PartitionPlan(("a", "c"), (0, 0, 1, 1), (0, 1), 2)
+    text = plan.to_json()
+    first = _store(("a", "v", "1"), ("b", "v", "2"), ("c", "v", "3"), ("d", "v", "4"))
+    second = _store(("a", "v", "4"), ("b", "v", "3"), ("c", "v", "2"), ("d", "v", "1"))
+    q = QueryPattern("range", (TriplePattern("?s", "v", "?o"),), RangeFilter("v", 1.0, 2.0))
+    homes = []
+    for store in (first, second, first, second):
+        expected = [range_oracle(store, plan, q, home) for home in range(2)]
+        (outcome,) = inc_report(store, plan, [q], policy="best").outcomes
+        assert outcome == _best([o for _, o in expected])
+        homes.append(outcome.home_node)
+        for home in range(2):
+            assert evaluate_distributed(store, plan, q, home) == QueryResult(*expected[home])
+    assert homes == [0, 1, 0, 1]
+    # a copy with every position replicated is local everywhere
+    copy = replace(plan, replicated=(0, 1, 2, 3))
+    for home in range(2):
+        outcome = evaluate_distributed(first, copy, q, home).metrics
+        assert outcome == range_oracle(first, copy, q, home)[1]
+        assert outcome.locally_answered
+    # the cache is no part of the plan's value or its file
+    again = PartitionPlan.from_json(text)
+    assert plan.to_json() == text
+    assert again == plan and plan == again and hash(again) == hash(plan)
+    assert PartitionPlan.from_json(plan.to_json()) == plan
 
 
 def test_one_cluster_pass_per_query_whatever_the_node_count(monkeypatch):
