@@ -30,7 +30,7 @@ from .query import (
     workload_from_json,
     workload_to_json,
 )
-from .replicate import centrality_csv
+from .replicate import _check_threshold, centrality_csv
 from .store import CsvMapping, TripleStore, ingest_csv, parse_ntriples, serialize_ntriples
 
 
@@ -48,9 +48,6 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         """Check each field's type, naming its key, then its range."""
         for name in ("sensors", "observations_per_sensor", "k", "nodes", "seed"):
             if type(getattr(self, name)) is not int:  # bool, float and str are rejected
@@ -71,15 +68,23 @@ class PipelineConfig:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if self.nodes < 1:
             raise ValueError(f"node count must be at least 1, got {self.nodes}")
-        if self.threshold is not None and not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must lie in (0, 1], got {self.threshold}")
+        if self.threshold is not None:
+            _check_threshold(self.threshold)
         if self.sensors < 0 or self.observations_per_sensor < 0:
             raise ValueError("generator counts must be non-negative")
 
 
+def _read_json(kind: str, path: str, parse=json.loads):
+    """``parse`` of the file's text; text that is not JSON raises a
+    ValueError naming the kind and path of the file."""
+    try:
+        return parse(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
+
+
 def load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json("config", path)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     known = {f.name for f in fields(PipelineConfig)}
@@ -326,14 +331,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = build_config(args)
     store = load_store(config)
-    plan = PartitionPlan.from_json(Path(args.plan).read_text())
+    plan = _read_json("plan", args.plan, PartitionPlan.from_json)
     plan.validate(store)
     if args.workload:
-        workload = workload_from_json(Path(args.workload).read_text())
+        workload = _read_json("workload", args.workload, workload_from_json)
     else:
         workload = generate_workload(store, config.seed, config.workload_counts)
-    policy = "best" if args.home is None else "fixed"
-    report = inc_report(store, plan, workload, policy=policy, home_node=args.home or 0)
+    report = inc_report(store, plan, workload, policy="best" if args.home is None else args.home)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -23,10 +23,11 @@ from typing import Sequence
 from .partition import PartitionResult
 from .store import TripleStore
 
-PLAN_FORMAT_VERSION = 2
+PLAN_FORMAT_VERSION = 3
 
 # the stored facts, in constructor order; also the keys of the plan file
-_FIELDS = ("fragment_masters", "fragment_of", "node_of_fragment", "m", "replicated")
+_FIELDS = ("fragment_of", "node_of_fragment", "m", "replicated")
+_LISTS = tuple(name for name in _FIELDS if name != "m")
 
 
 class PlanError(ValueError):
@@ -35,28 +36,26 @@ class PlanError(ValueError):
 
 def _check(facts: dict) -> None:
     """Raise PlanError naming the first stored fact that is malformed."""
-    for name in ("fragment_masters", "fragment_of", "node_of_fragment", "replicated"):
+    for name in _LISTS:
         if not isinstance(facts[name], (list, tuple)):
             raise PlanError(f"{name} must be a list, got {type(facts[name]).__name__}")
-    m, k, replicated = facts["m"], len(facts["fragment_masters"]), facts["replicated"]
+    m, replicated = facts["m"], facts["replicated"]
     if type(m) is not int or m < 1:
         raise PlanError(f"m must be a positive integer, got {m!r}")
-    if set(map(type, facts["fragment_masters"])) - {str}:
-        raise PlanError("fragment_masters must hold strings")
-    if len(facts["node_of_fragment"]) != k:
-        raise PlanError(f"node_of_fragment must have one entry per fragment ({k})")
-    for name, bound in (("fragment_of", k), ("node_of_fragment", m),
-                        ("replicated", len(facts["fragment_of"]))):
+    for name, bound, source in (
+        ("fragment_of", len(facts["node_of_fragment"]), "len(node_of_fragment)"),
+        ("node_of_fragment", m, "m"),
+        ("replicated", len(facts["fragment_of"]), "len(fragment_of)"),
+    ):
         values = facts[name]  # ints only: bool and float are rejected too
         if values and (set(map(type, values)) != {int} or min(values) < 0 or max(values) >= bound):
-            raise PlanError(f"{name} must hold integers in 0..{bound - 1}")
+            raise PlanError(f"{name} must hold integers in 0..{bound - 1}, below {source}")
     if not all(map(operator.lt, replicated, replicated[1:])):
         raise PlanError("replicated must be strictly increasing")
 
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    fragment_masters: tuple[str, ...]  # master subject per fragment (length k)
     fragment_of: tuple[int, ...]  # fragment per position (length n)
     node_of_fragment: tuple[int, ...]  # node per fragment (length k)
     m: int
@@ -64,7 +63,7 @@ class PartitionPlan:
 
     def __post_init__(self):
         _check({name: getattr(self, name) for name in _FIELDS})
-        for name in ("fragment_masters", "fragment_of", "node_of_fragment", "replicated"):
+        for name in _LISTS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @cached_property
@@ -78,7 +77,7 @@ class PartitionPlan:
 
     @property
     def k(self) -> int:
-        return len(self.fragment_masters)
+        return len(self.node_of_fragment)
 
     def owner_of(self, position: int) -> int:
         return self.node_of_fragment[self.fragment_of[position]]
@@ -160,12 +159,7 @@ def build_plan(
                     f"and on node {node_id}"
                 )
             node_of_fragment[fid] = node_id
-    return PartitionPlan(
-        fragment_masters=[f.master_subject for f in partition.fragments],
-        fragment_of=partition.fragment_of,
-        node_of_fragment=node_of_fragment,
-        m=len(allocation),
-    )
+    return PartitionPlan(partition.fragment_of, node_of_fragment, len(allocation))
 
 
 def round_robin_triple_plan(store: TripleStore, m: int) -> PartitionPlan:
@@ -174,11 +168,4 @@ def round_robin_triple_plan(store: TripleStore, m: int) -> PartitionPlan:
     Used as the comparison point for locality measurements; it ignores
     subject cohesion entirely.
     """
-    return PartitionPlan(
-        fragment_masters=[
-            store.triples[node].subject if node < store.n else "" for node in range(m)
-        ],
-        fragment_of=tuple(islice(cycle(range(m)), store.n)),
-        node_of_fragment=tuple(range(m)),
-        m=m,
-    )
+    return PartitionPlan(tuple(islice(cycle(range(m)), store.n)), tuple(range(m)), m)

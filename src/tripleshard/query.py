@@ -81,9 +81,6 @@ class QueryPattern:
     range_filter: RangeFilter | None = None
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.shape not in SHAPES:
             raise ValueError(f"unknown query shape {self.shape!r}")
         if not self.patterns:
@@ -408,9 +405,9 @@ def _evaluate(
     Otherwise every node whose data served a match is counted, and the
     cluster candidates the home cannot see are added to the cost.
     """
-    for home in homes:
-        if not 0 <= home < plan.m:
-            raise ValueError(f"home node {home} outside 0..{plan.m - 1}")
+    for home in homes:  # ints only, as in the plan: bool and float are rejected too
+        if type(home) is not int or not 0 <= home < plan.m:
+            raise ValueError(f"home node {home!r} is not a node id in 0..{plan.m - 1}")
     bindings, everywhere, counts, served_masks = _propagate_eval(store, q, plan)
     joins = len(q.patterns) - 1
     outcomes = []
@@ -641,22 +638,19 @@ def inc_report(
     store: TripleStore,
     plan: PartitionPlan,
     workload: Sequence[QueryPattern],
-    policy: str = "best",
-    home_node: int = 0,
+    policy: str | int = "best",
 ) -> IncReport:
     """Evaluate the workload under the plan and summarize communication.
 
-    ``policy`` picks the home node per query: "best" routes each query to the
-    node needing the fewest touches (how a subject-aware router behaves),
-    "fixed" sends everything to ``home_node``. Each query runs one
-    cluster-wide pass, and every candidate home's cost is read from it.
+    ``policy`` is "best" or a node id. "best" routes each query to the node
+    needing the fewest touches (how a subject-aware router behaves); a node
+    id sends every query there. Each query runs one cluster-wide pass, and
+    every candidate home's cost is read from it.
     """
-    if policy not in ("best", "fixed"):
-        raise ValueError(f"unknown home-node policy {policy!r}")
     if not workload:
         raise ValueError("workload must contain at least one query")
 
-    homes = range(plan.m) if policy == "best" else (home_node,)
+    homes = range(plan.m) if policy == "best" else (policy,)
     outcomes = [
         min(
             _evaluate(store, plan, q, homes)[1],

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,33 @@ def test_evaluate_rejects_an_out_of_range_home(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # the home alone picks the routing
         main([*evaluate, "--policy", "fixed"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("config", "--config"), ("plan", "--plan"), ("workload", "--workload"),
+])
+def test_a_file_that_is_not_json_is_named(tmp_path, capsys, kind, flag):
+    evaluate = _evaluate_args(tmp_path)
+    broken = tmp_path / f"{kind}.json"
+    broken.write_text("")
+    capsys.readouterr()
+    assert main([*evaluate, flag, str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {kind} file {broken} is not valid JSON: "
+                   "Expecting value: line 1 column 1 (char 0)\n")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = tmp_path / "g.nt"
+    done = subprocess.run(
+        [sys.executable, "-m", "tripleshard", "generate", "--sensors", "2", "--observations", "3",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert parse_ntriples(out.read_text()).n > 0
 
 
 def test_pipeline_writes_all_artifacts(tmp_path):

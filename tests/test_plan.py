@@ -94,7 +94,7 @@ def test_replace_rejects_unsorted_replicated():
 
 def test_constructor_rejects_replica_past_the_store():
     with pytest.raises(PlanError, match="replicated"):
-        PartitionPlan(("a",), (0, 0), (0,), 1, (7,))
+        PartitionPlan((0, 0), (0,), 1, (7,))
 
 
 def test_round_robin_plan_needs_a_node():
@@ -111,7 +111,7 @@ def test_from_json_requires_contiguous_ids():
             PartitionPlan.from_json(json.dumps(data))
 
 
-_V2_FILE = json.loads(replace(grown_plan(_store(), 2, 2), replicated=(1, 3)).to_json())
+_V3_FILE = json.loads(replace(grown_plan(_store(), 2, 2), replicated=(1, 3)).to_json())
 
 # the format before version 2, as the loader last accepted it
 _V1_FILE = {
@@ -123,25 +123,26 @@ _V1_FILE = {
 
 
 def _edited(**changes):
-    """The valid version-2 file with fields replaced; None removes a field."""
-    data = dict(_V2_FILE, **changes)
+    """The valid version-3 file with fields replaced; None removes a field."""
+    data = dict(_V3_FILE, **changes)
     return {key: value for key, value in data.items() if value is not None}
 
 
 @pytest.mark.parametrize(
     "data, field",
     [
-        (_edited(fragment_masters=None), "fragment_masters"),
         (_edited(replicated=["3"]), "replicated"),
-        (_edited(fragment_of=["0"] + _V2_FILE["fragment_of"][1:]), "fragment_of"),
+        (_edited(fragment_of=["0"] + _V3_FILE["fragment_of"][1:]), "fragment_of"),
         (_edited(replicated=[True]), "replicated"),
         (_edited(replicated=[1.0]), "replicated"),
         (_edited(replicated=[3, 3]), "replicated"),
         (_edited(version=None), "version"),
         (_V1_FILE, "version"),
+        (_edited(version=2, fragment_masters=["s0", "s1"]), "version"),
     ],
-    ids=["missing-master", "string-position", "string-fragment-id", "bool-position",
-         "float-position", "duplicate-replica", "no-version", "old-format"],
+    ids=["string-position", "string-fragment-id", "bool-position",
+         "float-position", "duplicate-replica", "no-version", "old-format",
+         "version-2"],
 )
 def test_from_json_rejects_hand_edited_files(data, field):
     with pytest.raises(PlanError, match=field):
