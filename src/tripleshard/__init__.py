@@ -34,5 +34,3 @@ from .store import (
     parse_ntriples,
     serialize_ntriples,
 )
-
-__version__ = "0.1.0"

@@ -64,6 +64,7 @@ class PipelineConfig:
             raise ValueError(
                 f"workload_counts must be a list of four non-negative integers, got {counts!r}"
             )
+        object.__setattr__(self, "workload_counts", tuple(counts))
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if self.nodes < 1:
@@ -95,30 +96,22 @@ def load_config_file(path: str) -> dict:
 
 
 def _csv_mapping(data: object) -> CsvMapping:
-    """The config file's ``csv_mapping`` entry; a malformed one names its key."""
-    if not isinstance(data, dict) or not isinstance(data.get("subject_column"), str):
+    """The config file's ``csv_mapping`` entry; a malformed one names its
+    key, and ``CsvMapping`` checks the values."""
+    if not isinstance(data, dict):
         raise ValueError("csv_mapping must be an object with a string 'subject_column'")
     unknown = sorted(set(data) - {"subject_column", "properties", "resource_columns"})
     if unknown:
         raise ValueError(f"unknown csv_mapping keys: {', '.join(map(repr, unknown))}")
-    subject, properties = data["subject_column"], data.get("properties")
-    if not isinstance(properties, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
-        for pair in properties
-    ):
-        raise ValueError("csv_mapping 'properties' must be a list of [predicate, column] pairs")
-    resources = data.get("resource_columns", [])
-    if not isinstance(resources, list) or not all(isinstance(col, str) for col in resources):
-        raise ValueError("csv_mapping 'resource_columns' must be a list of column names")
-    return CsvMapping(subject, tuple(map(tuple, properties)), frozenset(resources))
+    return CsvMapping(
+        data.get("subject_column"), data.get("properties"), data.get("resource_columns", ())
+    )
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     data = load_config_file(args.config) if getattr(args, "config", None) else {}
     if data.get("csv_mapping") is not None:
         data["csv_mapping"] = _csv_mapping(data["csv_mapping"])
-    if isinstance(data.get("workload_counts"), list):
-        data["workload_counts"] = tuple(data["workload_counts"])
     for field in fields(PipelineConfig):  # flags store under the field they set; they win
         value = getattr(args, field.name, None)
         if value is not None:
@@ -318,9 +311,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = build_config(args)
     if config.input_path is not None:
         raise ValueError("generate writes generated data; remove input_path from the config")
-    store = generate_sensor_graph(
-        config.seed, config.sensors, config.observations_per_sensor
-    )
+    store = load_store(config)
     out = Path(args.out or "triples.nt")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(serialize_ntriples(store))

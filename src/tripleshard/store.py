@@ -43,8 +43,6 @@ class TripleStore:
     positions into this store.
     """
 
-    # _numeric is made by the first numeric_index call: an empty dict per
-    # store made in __init__ raised the peak RSS of 200k-triple layout builds
     __slots__ = ("triples", "subject_index", "predicate_index", "_numeric")
 
     def __init__(self, triples: Iterable[Triple]):
@@ -58,6 +56,7 @@ class TripleStore:
             raise ValueError("triple subject and predicate must be non-empty strings")
         self.subject_index = subject_index
         self.predicate_index = predicate_index
+        self._numeric: dict[str, tuple[array, array]] = {}
 
     def numeric_index(self, predicate: str) -> tuple[array, array]:
         """The predicate's triples whose object ``float()`` reads as a number
@@ -66,10 +65,7 @@ class TripleStore:
 
         Built on the first call for each predicate and cached on the store.
         """
-        try:
-            cache = self._numeric
-        except AttributeError:
-            cache = self._numeric = {}
+        cache = self._numeric
         index = cache.get(predicate)
         if index is None:
             values, positions = [], []
@@ -167,7 +163,8 @@ class CsvMapping:
     ``subject_column`` names the column holding the subject identifier and
     ``properties`` pairs a predicate name with the column providing its
     object value. Columns listed in ``resource_columns`` yield resource
-    objects; every other mapped object is a literal.
+    objects; every other mapped object is a literal. Lists are accepted and
+    stored as a tuple of pairs and a frozenset, so a mapping can be hashed.
     """
 
     subject_column: str
@@ -175,6 +172,23 @@ class CsvMapping:
     resource_columns: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.subject_column, str):
+            raise IngestError("csv_mapping must be an object with a string 'subject_column'")
+        if not isinstance(self.properties, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(isinstance(x, str) for x in pair)
+            for pair in self.properties
+        ):
+            raise IngestError(
+                "csv_mapping 'properties' must be a list of [predicate, column] pairs"
+            )
+        resources = self.resource_columns
+        if not isinstance(resources, (list, tuple, set, frozenset)) or not all(
+            isinstance(col, str) for col in resources
+        ):
+            raise IngestError("csv_mapping 'resource_columns' must be a list of column names")
+        object.__setattr__(self, "properties", tuple(map(tuple, self.properties)))
+        object.__setattr__(self, "resource_columns", frozenset(resources))
         for predicate, _ in self.properties:
             if not predicate or _NOT_IN_RESOURCE(predicate):
                 raise IngestError(

@@ -8,12 +8,35 @@ cannot share its bugs.
 from __future__ import annotations
 
 import random
+import sys
 
 from tripleshard.allocate import allocate
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.plan import PartitionPlan, build_plan
 from tripleshard.query import HOP_PENALTY, QueryOutcome, QueryPattern
 from tripleshard.store import Triple, TripleStore
+
+
+def count_ops(fn, *args) -> int:
+    """How many bytecode instructions ``fn(*args)`` runs, counted from
+    ``sys.settrace`` opcode events: a work count no machine load can move.
+    Work inside C calls (regex, ``sorted``, dict growth) is not counted."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 def grown_plan(store: TripleStore, k: int, m: int) -> PartitionPlan:

@@ -2,6 +2,7 @@
 PASS line with the measured values (run with -s to see them)."""
 
 import random
+import statistics
 import time
 from collections import Counter
 
@@ -10,7 +11,6 @@ import pytest
 from tripleshard.allocate import allocate
 from tripleshard.cli import PipelineConfig, run_pipeline, run_scaling
 from tripleshard.generator import generate_sensor_graph
-from tripleshard.metrics import linear_fit_r2
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.plan import round_robin_triple_plan
 from tripleshard.query import (
@@ -135,7 +135,7 @@ def test_criterion_5_replication_monotone_and_linear():
         )
         ns.append(store.n)
         counts.append(len(decision.replicated_positions))
-    _, _, r2 = linear_fit_r2(ns, counts)
+    r2 = statistics.correlation(ns, counts) ** 2
     assert r2 >= 0.9, f"replica growth not linear: r2={r2:.3f}"
     _ok(
         5,
@@ -208,7 +208,7 @@ def test_criterion_8_stage_times_scale_linearly():
     )
     fits = {}
     for stage in stages:
-        _, _, r2 = linear_fit_r2(ns, [r[stage] for r in rows])
+        r2 = statistics.correlation(ns, [r[stage] for r in rows]) ** 2
         assert r2 >= 0.9, (
             f"{stage} not linear in n: r2={r2:.3f}; ns={ns}; per-scale medians (ms): {medians}"
         )

@@ -344,6 +344,12 @@ def test_config_values_of_the_wrong_type_name_the_key(tmp_path, capsys, key, val
     assert not (tmp_path / "run").exists()
 
 
+def test_config_stores_workload_counts_as_a_tuple():
+    config = PipelineConfig(workload_counts=[1, 2, 3, 4])
+    assert config.workload_counts == (1, 2, 3, 4)
+    assert hash(config) == hash(PipelineConfig(workload_counts=(1, 2, 3, 4)))
+
+
 def test_config_is_checked_when_replaced():
     with pytest.raises(ValueError, match="k must be at least 1"):
         replace(PipelineConfig(), k=0)

@@ -1,3 +1,5 @@
+import statistics
+
 import pytest
 
 from tripleshard.allocate import allocate
@@ -6,6 +8,9 @@ from tripleshard.layout import build_layout
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.plan import build_plan
 from tripleshard.replicate import compute_centrality, derive_threshold, replicate
+from tripleshard.store import parse_ntriples, serialize_ntriples
+
+from _helpers import count_ops
 
 
 @pytest.mark.parametrize("threshold", [None, 0.65], ids=["derived", "fixed"])
@@ -25,3 +30,21 @@ def test_build_layout_equals_the_stages_composed_by_hand(threshold):
     assert layout.plan == plan
     assert layout.plan.to_json() == plan.to_json()
 
+
+def test_ingest_and_layout_work_grows_linearly_with_the_triples():
+    """The O(n) claim counted, not timed: per-triple bytecode counts of
+    ingest and layout stay flat from 1x to 5x data."""
+    ns, ingest, layout = [], [], []
+    for scale in range(1, 6):
+        store = generate_sensor_graph(7, 20, 30 * scale)
+        text = serialize_ntriples(store)
+        ns.append(store.n)
+        ingest.append(count_ops(parse_ntriples, text))
+        layout.append(count_ops(build_layout, store, 5, 3))
+    for name, counts in (("ingest", ingest), ("layout", layout)):
+        r2 = statistics.correlation(ns, counts) ** 2
+        per_triple = [c / n for c, n in zip(counts, ns)]
+        assert r2 >= 0.999, f"{name} opcodes not linear in n: r2={r2:.5f}, {per_triple}"
+        assert all(abs(x / per_triple[0] - 1) <= 0.1 for x in per_triple), (
+            f"{name} opcodes per triple drift from 1x: {per_triple}"
+        )

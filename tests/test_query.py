@@ -40,7 +40,7 @@ def _store(*rows):
 
 
 def _rows(result):
-    return result.rows()
+    return [dict(b) for b in sorted(result.bindings)]
 
 
 # --- centralized reference route -------------------------------------------
@@ -136,6 +136,12 @@ def test_nan_range_bounds_are_rejected(low, high):
         query_from_dict(data)
     with pytest.raises(ValueError, match="not NaN"):
         workload_from_json(json.dumps([data]))
+
+
+@pytest.mark.parametrize("low, high", [(True, 5), ("a", "b")])
+def test_range_filter_bounds_must_be_numbers(low, high):
+    with pytest.raises(ValueError, match="filter 'low' must be a number"):
+        RangeFilter("t", low, high)
 
 
 STAR = {"type": "star", "patterns": [{"s": "a", "p": "p", "o": "?x"}]}

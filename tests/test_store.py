@@ -229,6 +229,15 @@ def test_mapping_checks_predicate_names_when_built():
         CsvMapping("id", (("has temp", "temp"),))
 
 
+def test_mapping_checks_and_freezes_its_fields_when_built():
+    with pytest.raises(IngestError, match="subject_column"):
+        CsvMapping(5, (("p", "c"),))
+    listed = CsvMapping("id", [["p", "c"]], ["c"])
+    frozen = CsvMapping("id", (("p", "c"),), frozenset({"c"}))
+    assert listed == frozen
+    assert hash(listed) == hash(frozen)
+
+
 def test_ingested_store_round_trips_through_the_writer():
     text = 'id,label,target\ns1,"a label, quoted",s2\ns2,"say ""hi"" \\\\ back",s1\n'
     mapping = CsvMapping("id", (("label", "label"), ("linksTo", "target")),
