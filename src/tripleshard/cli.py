@@ -48,7 +48,20 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        """Check each field's type, naming its key, then its range."""
+        """Check each field's type, naming its key, then its range. A
+        ``csv_mapping`` object, as a config file holds it, becomes a
+        ``CsvMapping``, which checks its values."""
+        mapping = self.csv_mapping
+        if isinstance(mapping, dict):
+            unknown = sorted(set(mapping) - {"subject_column", "properties", "resource_columns"})
+            if unknown:
+                raise ValueError(f"unknown csv_mapping keys: {', '.join(map(repr, unknown))}")
+            object.__setattr__(self, "csv_mapping", CsvMapping(
+                mapping.get("subject_column"), mapping.get("properties"),
+                mapping.get("resource_columns", ()),
+            ))
+        elif mapping is not None and not isinstance(mapping, CsvMapping):
+            raise ValueError("csv_mapping must be an object with a string 'subject_column'")
         for name in ("sensors", "observations_per_sensor", "k", "nodes", "seed"):
             if type(getattr(self, name)) is not int:  # bool, float and str are rejected
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -84,34 +97,16 @@ def _read_json(kind: str, path: str, parse=json.loads):
         raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
 
 
-def load_config_file(path: str) -> dict:
-    data = _read_json("config", path)
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
-    return data
-
-
-def _csv_mapping(data: object) -> CsvMapping:
-    """The config file's ``csv_mapping`` entry; a malformed one names its
-    key, and ``CsvMapping`` checks the values."""
-    if not isinstance(data, dict):
-        raise ValueError("csv_mapping must be an object with a string 'subject_column'")
-    unknown = sorted(set(data) - {"subject_column", "properties", "resource_columns"})
-    if unknown:
-        raise ValueError(f"unknown csv_mapping keys: {', '.join(map(repr, unknown))}")
-    return CsvMapping(
-        data.get("subject_column"), data.get("properties"), data.get("resource_columns", ())
-    )
-
-
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    data = load_config_file(args.config) if getattr(args, "config", None) else {}
-    if data.get("csv_mapping") is not None:
-        data["csv_mapping"] = _csv_mapping(data["csv_mapping"])
+    """The config file's entries, if one is given, under the flags' values."""
+    path, data = getattr(args, "config", None), {}
+    if path:
+        data = _read_json("config", path)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(PipelineConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
     for field in fields(PipelineConfig):  # flags store under the field they set; they win
         value = getattr(args, field.name, None)
         if value is not None:

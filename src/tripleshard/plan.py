@@ -131,6 +131,9 @@ class PartitionPlan:
         missing = [name for name in _FIELDS if name not in data]
         if missing:
             raise PlanError(f"plan JSON missing required field: {', '.join(missing)}")
+        unknown = sorted(set(data) - {*_FIELDS, "version"})
+        if unknown:
+            raise PlanError(f"plan JSON has unknown keys: {', '.join(unknown)}")
         return cls(**{name: data[name] for name in _FIELDS})
 
     def validate(self, store: TripleStore) -> None:

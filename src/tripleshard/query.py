@@ -144,7 +144,6 @@ class QueryOutcome(NamedTuple):
     """One query's cost when routed to ``home_node``."""
 
     home_node: int
-    joins: int
     nodes_touched: int
     locally_answered: bool
     triples_scanned: int
@@ -153,8 +152,12 @@ class QueryOutcome(NamedTuple):
 
 @dataclass
 class QueryResult:
+    """A query's bindings, and from ``evaluate_distributed`` its cost at the
+    home; the reference, ``evaluate_centralized``, answers without a cost,
+    so its ``metrics`` is None."""
+
     bindings: frozenset[Binding]
-    metrics: QueryOutcome
+    metrics: QueryOutcome | None
 
 
 def _bind(triple, s: str, p: str, o: str, free: tuple[bool, ...]) -> dict[str, str] | None:
@@ -258,23 +261,14 @@ def _hash_join(left: list[dict], right: list[dict]) -> list[dict]:
 
 
 def evaluate_centralized(store: TripleStore, q: QueryPattern) -> QueryResult:
-    """Reference evaluation: full per-pattern match, then hash joins.
-
-    Its metrics say home 0, answered locally, but they are not those of a
-    one-node plan in ``evaluate_distributed``: ``triples_scanned`` counts
-    every candidate of every pattern, matched against the whole store
-    without propagation.
-    """
-    scanned = 0
+    """Reference evaluation: full per-pattern match, then hash joins. It
+    gives bindings only; a cost comes from ``evaluate_distributed``."""
     rows: list[dict[str, str]] | None = None
     for pat in q.patterns:
-        candidates, matches = _pattern_matches(store, *pat, tuple(map(is_variable, pat)))
-        scanned += len(candidates)
+        _, matches = _pattern_matches(store, *pat, tuple(map(is_variable, pat)))
         relation = _dedupe([ext for _, ext in matches])
         rows = relation if rows is None else _hash_join(rows, relation)
-    rows = _apply_range(rows or [], q)
-    joins = len(q.patterns) - 1
-    return QueryResult(_freeze(rows), QueryOutcome(0, joins, 1, True, scanned, scanned))
+    return QueryResult(_freeze(_apply_range(rows or [], q)), None)
 
 
 class _RangeReach(NamedTuple):
@@ -418,7 +412,6 @@ def _evaluate(
         if type(home) is not int or not 0 <= home < plan.m:
             raise ValueError(f"home node {home!r} is not a node id in 0..{plan.m - 1}")
     bindings, everywhere, counts, served_masks = _propagate_eval(store, q, plan)
-    joins = len(q.patterns) - 1
     outcomes = []
     for home in homes:
         bit = 1 << home
@@ -436,7 +429,7 @@ def _evaluate(
             nodes_touched = len({home if mask & bit else mask.bit_length() - 1 for mask in served_masks})
             scanned += remote
         outcomes.append(QueryOutcome(
-            home, joins, nodes_touched, locally_answered, scanned,
+            home, nodes_touched, locally_answered, scanned,
             scanned + HOP_PENALTY * (nodes_touched - 1),
         ))
     return bindings, outcomes
@@ -668,7 +661,7 @@ def inc_report(
         outcomes=outcomes,
         fraction_local=sum(o.locally_answered for o in outcomes) / count,
         mean_nodes_touched=sum(o.nodes_touched for o in outcomes) / count,
-        mean_joins=sum(o.joins for o in outcomes) / count,
+        mean_joins=sum(len(q.patterns) - 1 for q in workload) / count,
         mean_triples_scanned=sum(o.triples_scanned for o in outcomes) / count,
         mean_qet_proxy=sum(o.qet_proxy for o in outcomes) / count,
     )
@@ -678,7 +671,7 @@ def inc_report_csv(report: IncReport) -> str:
     lines = ["query,shape,homeNode,joins,nodesTouched,locallyAnswered,triplesScanned,qetProxy"]
     for i, (q, o) in enumerate(zip(report.workload, report.outcomes)):
         lines.append(
-            f"{i},{q.shape},{o.home_node},{o.joins},{o.nodes_touched},"
+            f"{i},{q.shape},{o.home_node},{len(q.patterns) - 1},{o.nodes_touched},"
             f"{int(o.locally_answered)},{o.triples_scanned},{o.qet_proxy}"
         )
     return "".join(line + "\n" for line in lines)
@@ -692,7 +685,7 @@ def inc_report_table(report: IncReport) -> str:
     ]
     for i, (q, o) in enumerate(zip(report.workload, report.outcomes)):
         lines.append(
-            f"{i:>5}  {q.shape:<10} {o.home_node:>4} {o.joins:>5} {o.nodes_touched:>5} "
+            f"{i:>5}  {q.shape:<10} {o.home_node:>4} {len(q.patterns) - 1:>5} {o.nodes_touched:>5} "
             f"{'yes' if o.locally_answered else 'no':>5} {o.triples_scanned:>8} {o.qet_proxy:>8}"
         )
     lines.append(

@@ -197,5 +197,5 @@ def range_oracle(
     else:
         touched = len({home if home in nodes(pos) else min(nodes(pos)) for pos in candidates})
         scanned = len(candidates)
-    outcome = QueryOutcome(home, 0, touched, local, scanned, scanned + HOP_PENALTY * (touched - 1))
+    outcome = QueryOutcome(home, touched, local, scanned, scanned + HOP_PENALTY * (touched - 1))
     return frozenset(reach), outcome

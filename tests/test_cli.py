@@ -275,6 +275,22 @@ def test_malformed_csv_mapping_names_the_key(tmp_path, capsys, mapping, key):
     assert rc == 2
     err = capsys.readouterr().err
     assert "csv_mapping" in err and key in err, err
+    # the same mapping given in Python fails the same way
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig(input_path=str(csv_file), csv_mapping=mapping)
+    assert "csv_mapping" in str(exc.value) and key in str(exc.value), exc.value
+
+
+def test_csv_mapping_dict_in_python_equals_config_file_form(tmp_path):
+    entry = {"subject_column": "id", "properties": [["p", "t"]]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"csv_mapping": entry}))
+    from_file = build_config(build_parser().parse_args(["pipeline", "--config", str(config)]))
+    direct = PipelineConfig(csv_mapping=entry)
+    assert isinstance(direct.csv_mapping, CsvMapping)
+    assert direct.csv_mapping == from_file.csv_mapping == CsvMapping("id", (("p", "t"),))
+    assert direct == from_file
+    assert hash(direct) == hash(from_file)
 
 
 def test_csv_mapping_resource_columns(tmp_path):

@@ -139,10 +139,12 @@ def _edited(**changes):
         (_edited(version=None), "version"),
         (_V1_FILE, "version"),
         (_edited(version=2, fragment_masters=["s0", "s1"]), "version"),
+        (_edited(fragment_masters=["s0", "s1"]), "fragment_masters"),
+        (_edited(replicatd=[1]), "replicatd"),
     ],
     ids=["string-position", "string-fragment-id", "bool-position",
          "float-position", "duplicate-replica", "no-version", "old-format",
-         "version-2"],
+         "version-2", "dropped-key", "misspelled-key"],
 )
 def test_from_json_rejects_hand_edited_files(data, field):
     with pytest.raises(PlanError, match=field):

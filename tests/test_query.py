@@ -52,8 +52,6 @@ def test_star_on_constant_subject():
     )
     result = evaluate_centralized(store, q)
     assert _rows(result) == [{"?o1": "x", "?o2": "y"}]
-    assert result.metrics.joins == 1
-    assert result.metrics.nodes_touched == 1
 
 
 def test_absent_predicate_gives_empty_bindings():
@@ -81,7 +79,6 @@ def test_range_filters_numeric_band():
     )
     result = evaluate_centralized(store, q)
     assert _rows(result) == [{"?s": "s1", "?value": "20"}]
-    assert result.metrics.joins == 0
 
 
 def test_range_drops_non_numeric_values():
@@ -788,11 +785,15 @@ def test_default_mix_report_text_is_pinned(make_store, seed, threshold, pinned):
 def test_workload_joins_equal_patterns_minus_one():
     store = generate_sensor_graph(6, 8, 10)
     plan = grown_plan(store, 3, 3)
-    for q in generate_workload(store, 1):
-        result = evaluate_distributed(store, plan, q, 0)
-        assert result.metrics.joins == len(q.patterns) - 1
+    workload = generate_workload(store, 1)
+    rows = inc_report_csv(inc_report(store, plan, workload)).splitlines()
+    header = rows[0].split(",")
+    for q, row in zip(workload, rows[1:], strict=True):
+        joins = int(row.split(",")[header.index("joins")])
+        assert joins == len(q.patterns) - 1
         if q.shape == "range":
-            assert result.metrics.joins == 0
+            assert joins == 0
+        assert evaluate_centralized(store, q).metrics is None
 
 
 def test_zero_counts_give_empty_workload():
