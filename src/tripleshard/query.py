@@ -18,6 +18,12 @@ snowflake queries send, ``(S, P, ?o)``, without a per-triple test; any other
 form goes to the generic matcher. A fault in the fast form therefore shows as
 a binding that differs from the reference.
 
+The distributed route compiles the query, once per call, into variable
+slots: a row is a tuple of values in slot order, extended by the values each
+match binds, and a binding is its row's tuple. The index entries examined
+are counted with one histogram per probe reach. Bindings are named only when
+iterated, which only ``evaluate_distributed`` does.
+
 A range scan ``?s P ?o`` builds no rows in the distributed route: its costs
 are read from a per-plan range summary of ``P``, built on the first scan of
 ``P`` and cached on the plan, with two bisects per node. Its bindings are
@@ -37,7 +43,7 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -197,20 +203,29 @@ def _pattern_matches(
 
 
 def _probe_matches(
-    store: TripleStore, s: str, p: str, o: str, free: tuple[bool, ...]
-) -> tuple[Sequence[int], list[tuple[int, dict[str, str]]]]:
-    """``_pattern_matches`` for the distributed route, which matches the
-    probe form of linear, star and snowflake queries, ``(S, P, ?o)``, without
-    a per-triple ``_bind``: it keeps the subject's candidates whose predicate
-    is ``P``. Its candidates, matches and order are ``_pattern_matches``' own.
+    store: TripleStore, seen_by: Sequence[int], s: str, p: str, o: str, free: tuple[bool, ...]
+) -> tuple[Sequence[int], list[tuple]]:
+    """The distributed route's matcher: the candidates ``_pattern_matches``
+    examines and, in its order, each match as the values it binds, in slot
+    order, with the ``seen_by`` mask of its position.
+
+    The probe form of linear, star and snowflake queries, ``(S, P, ?o)``, is
+    matched without a per-triple ``_bind``, as the subject's candidates whose
+    predicate is ``P``, and a match is the pair ``(object, mask)``. Any other
+    form binds each variable first seen in the pattern, in term order, into
+    a tuple: ``((value, ...), mask)``.
     """
     if free == (False, False, True):
         triples = store.triples
         candidates = store.subject_index.get(s, ())
-        return candidates, [
-            (pos, {o: triples[pos].object}) for pos in candidates if triples[pos].predicate == p
-        ]
-    return _pattern_matches(store, s, p, o, free)
+        matches = []  # a loop, not a comprehension: one frame less per probe
+        for pos in candidates:
+            t = triples[pos]
+            if t.predicate == p:
+                matches.append((t.object, seen_by[pos]))
+        return candidates, matches
+    candidates, matches = _pattern_matches(store, s, p, o, free)
+    return candidates, [(tuple(row.values()), seen_by[pos]) for pos, row in matches]
 
 
 def _dedupe(rows: list[dict[str, str]]) -> list[dict[str, str]]:
@@ -320,21 +335,39 @@ def _slice_bindings(
         yield ((term, obj), (s, subject)) if flip else ((s, subject), (term, obj))
 
 
+def _named_bindings(slots: Mapping[str, int], rows: Iterable[tuple[str, ...]]) -> Iterator[Binding]:
+    """The bindings of the value tuples ``rows``, each listing its variables
+    by name, built as they are iterated."""
+    names = sorted(slots)
+    order = [slots[name] for name in names]
+    for row in rows:
+        yield tuple(zip(names, [row[i] for i in order]))
+
+
 def _propagate_eval(
     store: TripleStore, q: QueryPattern, plan: PartitionPlan
 ) -> tuple[Iterable[Binding], int, Mapping[int, Counter[int]], Collection[int]]:
     """Index-nested-loop evaluation with binding propagation, cluster-wide.
 
+    The query is compiled once: each variable takes the next slot when a
+    pattern first binds it, and each term of a pattern is read once as a
+    constant, a bound slot or free. A row is the tuple of its slots' values,
+    extended by a match as ``row + (obj,)`` on the probe form and by the
+    tuple of the values it binds on any other; rows with equal tuples are one
+    binding, which is how a literal/resource twin collapses.
+
     Each row carries its reach, the AND of ``seen_by`` over the positions
-    that built it: the nodes that could build it alone. Returns the bindings;
-    the nodes that could build every binding alone, the AND over bindings of
-    the OR of their rows' reach; per probe reach (the OR of the reach of the
-    rows that sent a probe), the ``seen_by`` histogram of the candidates
-    examined; and the ``seen_by`` masks of the matched positions.
-    Each pattern's form is read once; probes are memoized by values and form,
-    so a repeated lookup is examined, and charged, once.
+    that built it: the nodes that could build it alone. Returns the bindings,
+    named as they are iterated; the nodes that could build every binding
+    alone, the AND over bindings of the OR of their rows' reach; per probe
+    reach (the OR of the reach of the rows that sent a probe), the
+    ``seen_by`` histogram of the candidates examined, one ``Counter`` over
+    all of that reach's candidates; and the ``seen_by`` masks of the matched
+    positions. Probes are memoized by their substituted terms, a free term
+    by its name, and form, so a repeated lookup is examined, and charged,
+    once, while the star legs ``(a, p, ?x)`` and ``(a, p, ?y)`` are two.
     Rows are not deduplicated between patterns: distinct triples extend a row
-    distinctly, except a literal/resource twin, whose rows share a binding.
+    distinctly.
 
     A range scan ``?s P ?o`` builds no rows. Two bisects find the in-range
     slice of the store's numeric index of ``P``, and two more per node, into
@@ -356,35 +389,55 @@ def _propagate_eval(
         return bindings, everywhere, {-1: summary.counts}, summary.counts.keys()
 
     seen_by = plan.seen_by
-    rows: list[tuple[dict[str, str], int]] = [({}, -1)]  # all bits set: every node starts
+    slots: dict[str, int] = {}  # each variable's slot, in the order bound
+    rows: list[tuple[tuple[str, ...], int]] = [((), -1)]  # all bits set: every node starts
     probes: dict[tuple, list] = {}  # [candidates, matches, reach]
     for s, p, o in q.patterns:
-        bound = rows[0][0]  # every row of a step binds the same variables
-        # free: a variable (is_variable, inlined on this hot path) not yet bound
-        free = (s[0] == "?" and s not in bound, p[0] == "?" and p not in bound,
-                o[0] == "?" and o not in bound)
-        next_rows: list[tuple[dict[str, str], int]] = []
+        # each term read once: a bound slot, or else a constant or free (a
+        # variable, is_variable inlined on this hot path, not yet bound); a
+        # free term keys its probe by its text
+        rs, rp, ro = slots.get(s), slots.get(p), slots.get(o)
+        free = (s[0] == "?" and rs is None, p[0] == "?" and rp is None, o[0] == "?" and ro is None)
+        fast = free == (False, False, True)
+        if fast:  # the probe form binds its object alone
+            slots[o] = len(slots)
+        else:
+            for name, var in zip((s, p, o), free):
+                if var and name not in slots:
+                    slots[name] = len(slots)
+        next_rows: list[tuple[tuple[str, ...], int]] = []
+        append = next_rows.append
         for row, reach in rows:
-            key = (row.get(s, s), row.get(p, p), row.get(o, o), free)
+            key = (s if rs is None else row[rs], p if rp is None else row[rp],
+                   o if ro is None else row[ro], free)
             probe = probes.get(key)
             if probe is None:
-                probe = probes[key] = [*_probe_matches(store, *key), 0]
+                probe = probes[key] = [*_probe_matches(store, seen_by, *key), 0]
             probe[2] |= reach
-            for pos, ext in probe[1]:
-                next_rows.append((row | ext, reach & seen_by[pos]))
+            if fast:
+                for obj, mask in probe[1]:
+                    append((row + (obj,), reach & mask))
+            else:
+                for values, mask in probe[1]:
+                    append((row + values, reach & mask))
         rows = next_rows
         if not rows:
             break
-    bindings: dict[Binding, int] = {}
+    # a binding is its row's values: literal/resource twins share one
+    bindings: dict[tuple[str, ...], int] = {}
+    value = slots.get(term)  # the filtered term's slot, None when constant
     for row, reach in rows:
-        if f is None or _in_range(f, row.get(term, term)):
-            binding = tuple(sorted(row.items()))
-            bindings[binding] = bindings.get(binding, 0) | reach
-    # candidates counted by probe reach, then position mask: a handful of pairs
-    counts: defaultdict[int, Counter[int]] = defaultdict(Counter)
+        if f is None or _in_range(f, term if value is None else row[value]):
+            bindings[row] = bindings.get(row, 0) | reach
+    # candidates counted once per probe reach, then by position mask
+    by_reach: dict[int, list[Sequence[int]]] = {}
     for candidates, _, reach in probes.values():
-        counts[reach].update(map(seen_by.__getitem__, candidates))
-    served = {seen_by[pos] for _, matches, _ in probes.values() for pos, _ in matches}
+        by_reach.setdefault(reach, []).append(candidates)
+    counts = {
+        reach: Counter([seen_by[pos] for candidates in lists for pos in candidates])
+        for reach, lists in by_reach.items()
+    }
+    served = {mask for _, matches, _ in probes.values() for _, mask in matches}
     # when no node is left, as for most queries on a spread layout, the rest
     # of the bindings need not be read
     everywhere = -1
@@ -392,7 +445,7 @@ def _propagate_eval(
         everywhere &= reach
         if not everywhere:
             break
-    return bindings, everywhere, counts, served
+    return _named_bindings(slots, bindings), everywhere, counts, served
 
 
 def _evaluate(

@@ -100,7 +100,9 @@ class TripleStore:
 
 
 _RESOURCE = r"<([^<>\s]+)>"
-_LITERAL = r'"((?:[^"\\]|\\.)*)"'
+# unrolled: runs of plain characters between escapes, not one
+# alternation per character
+_LITERAL = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _LINE_RE = re.compile(rf"^{_RESOURCE}\s+{_RESOURCE}\s+(?:{_RESOURCE}|{_LITERAL})\s*\.$")
 
 

@@ -3,13 +3,14 @@ import json
 import math
 import random
 import re
+import statistics
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import tripleshard.query as query_module
-from tripleshard.generator import generate_sensor_graph
+from tripleshard.generator import LINK_PREDICATE, MODEL_PREDICATE, generate_sensor_graph
 from tripleshard.partition import top_subjects
 from tripleshard.plan import PartitionPlan, round_robin_triple_plan
 from tripleshard.query import (
@@ -32,7 +33,7 @@ from tripleshard.query import (
 from tripleshard.replicate import compute_centrality, replicate
 from tripleshard.store import CsvMapping, Triple, TripleStore, ingest_csv, parse_ntriples
 
-from _helpers import grown_plan, numeric_store, random_store, range_oracle
+from _helpers import count_ops, grown_plan, numeric_store, random_store, range_oracle
 
 
 def _store(*rows):
@@ -289,6 +290,102 @@ def test_replicas_make_the_split_chain_local():
     assert result.metrics.nodes_touched == 1
 
 
+def _generic_queries(rng, store, count):
+    """Random valid queries of every shape whose patterns take the generic
+    forms as well as the probe form: variable predicates, constant objects,
+    variables repeated within or across patterns, and range scans other
+    than ``?s P ?o``. Each pattern is drawn from a triple of the data, so
+    many queries have answers."""
+    triples, index = store.triples, store.subject_index
+    subjects = sorted(index)
+
+    def is_link(pos):
+        return not triples[pos].object_is_literal and triples[pos].object in index
+
+    links = [s for s in subjects if any(map(is_link, index[s]))]
+    linked = set(links)
+
+    def variables(*patterns):
+        return [term for pat in patterns for term in pat if term[0] == "?"]
+
+    def leg(subject, term, bound, fresh, link=False):
+        # one of the subject's triples (a link to another subject when asked);
+        # its predicate stays, or becomes a fresh or a bound variable; its
+        # object stays, or becomes the fresh variable (always, on a link) or
+        # a bound one
+        t = triples[rng.choice([pos for pos in index[subject] if not link or is_link(pos)])]
+        roll = rng.random()
+        if roll < 0.6:
+            p = t.predicate
+        elif roll < 0.9 or not bound:
+            p = rng.choice(("?p", "?q"))
+        else:
+            p = rng.choice(bound)
+        roll = rng.random()
+        if link or 0.35 <= roll < 0.85 or (roll >= 0.85 and not bound):
+            o = fresh
+        elif roll < 0.35:
+            o = t.object
+        else:
+            o = rng.choice(bound)
+        return TriplePattern(term, p, o), t.object
+
+    def centre(pool):
+        subject = rng.choice(pool)
+        return subject, subject if rng.random() < 0.6 else "?c"
+
+    queries = []
+    while len(queries) < count:
+        shape = rng.choice(("linear", "star", "snowflake", "range"))
+        if shape == "range":
+            t = triples[rng.randrange(store.n)]
+            s = t.subject if rng.random() < 0.4 else "?s"
+            p = t.predicate if rng.random() < 0.6 else "?p"
+            o = t.object if rng.random() < 0.3 else rng.choice(["?value", *variables([s])])
+            low, high = sorted(rng.choice((-math.inf, math.inf, rng.uniform(0, 100))) for _ in range(2))
+            queries.append(QueryPattern("range", (TriplePattern(s, p, o),), RangeFilter(p, low, high)))
+            continue
+        if shape != "star" and not links:
+            continue
+        subject, term = centre(subjects if shape == "star" else links)
+        patterns = []
+        if shape == "linear":
+            for i in range(rng.randint(1, 3)):
+                last = i == 2 or subject not in linked or rng.random() < 0.3
+                pattern, subject = leg(subject, term, variables(*patterns, [term]), f"?h{i}", not last)
+                patterns.append(pattern)
+                term = pattern.object
+                if last:
+                    break
+        else:
+            for i in range(rng.randint(2, 3)):
+                patterns.append(leg(subject, term, variables(*patterns, [term]), f"?v{i}")[0])
+            if shape == "snowflake":
+                pattern, tail = leg(subject, term, variables(*patterns, [term]), "?b", link=True)
+                patterns.append(pattern)
+                patterns.append(leg(tail, "?b", variables(*patterns), "?t")[0])
+        queries.append(QueryPattern(shape, tuple(patterns)))
+    return queries
+
+
+def test_generic_queries_cover_every_form():
+    rng = random.Random(3)
+    store = random_store(rng, 80)
+    forms = set()
+    for q in _generic_queries(rng, store, 200):
+        forms.add(q.shape)
+        for pattern in q.patterns:
+            forms.add("variable predicate" if pattern.predicate[0] == "?" else "constant predicate")
+            forms.add("variable object" if pattern.object[0] == "?" else "constant object")
+            names = [term for term in pattern if term[0] == "?"]
+            if len(set(names)) < len(names):
+                forms.add("repeated variable")
+        if q.shape == "range" and (q.patterns[0].subject[0] != "?" or q.patterns[0].object[0] != "?"):
+            forms.add("generic range")
+    assert forms >= {"linear", "star", "snowflake", "range", "variable predicate",
+                     "constant object", "repeated variable", "generic range"}
+
+
 def test_distributed_bindings_always_match_reference():
     rng = random.Random(71)
     for _ in range(15):
@@ -298,19 +395,33 @@ def test_distributed_bindings_always_match_reference():
         table = compute_centrality(store)
         threshold = rng.uniform(0.2, 1.0)
         _, replicated_plan = replicate(plan, table, threshold, store)
-        workload = generate_workload(store, rng.randint(0, 999))
+        random_plan = _random_plan(rng, store, rng.randint(1, 6), rng.randint(1, 4))
+        workload = generate_workload(store, rng.randint(0, 999)) + _generic_queries(rng, store, 12)
         for q in workload:
             reference = evaluate_centralized(store, q).bindings
-            for use in (plan, replicated_plan):
+            for use in (plan, replicated_plan, random_plan):
                 for home in range(use.m):
                     assert (
                         evaluate_distributed(store, use, q, home).bindings == reference
                     )
 
 
-def _matches(found):
-    candidates, matches = found
-    return list(candidates), [(pos, list(row.items())) for pos, row in matches]
+def _slot_matches(store, terms, free):
+    """The distributed route's matches, each as the tuple of values it binds
+    and its mask; with positions for masks (``seen_by`` is the identity), a
+    mask names its triple."""
+    candidates, matches = query_module._probe_matches(store, range(store.n), *terms, free)
+    if free == (False, False, True):  # the probe form binds one object
+        matches = [((obj,), mask) for obj, mask in matches]
+    return list(candidates), matches
+
+
+def _generic_matches(store, terms, free):
+    """The reference matcher's matches in slots: each variable first seen in
+    the pattern, in term order, with the matched position."""
+    names = list(dict.fromkeys(term for term, var in zip(terms, free) if var))
+    candidates, matches = query_module._pattern_matches(store, *terms, free)
+    return list(candidates), [(tuple(row[name] for name in names), pos) for pos, row in matches]
 
 
 def test_probe_matcher_equals_the_generic_matcher():
@@ -345,9 +456,30 @@ def test_probe_matcher_equals_the_generic_matcher():
             patterns.update(itertools.product(*options))
         for pat in sorted(patterns):
             terms, free = zip(*pat)
-            assert _matches(query_module._probe_matches(store, *terms, free)) == _matches(
-                query_module._pattern_matches(store, *terms, free)
-            ), pat
+            assert _slot_matches(store, terms, free) == _generic_matches(store, terms, free), pat
+
+
+@pytest.mark.parametrize("replicated, per_home", [
+    ((), [(2, False, 8, 108), (2, False, 8, 108)]),
+    ((1, 4), [(1, True, 8, 8), (2, False, 8, 108)]),
+])
+def test_star_legs_sharing_subject_and_predicate_are_examined_twice(replicated, per_home):
+    # the probe memo keys a free object by its name, so the legs (a, p, ?x)
+    # and (a, p, ?y) are two probes: each examines a's four triples, and
+    # within a leg the rows that share a probe examine them once; figures
+    # pinned from the dict-row pass
+    store = _store(("a", "p", "x1", False), ("a", "p", "x2", True), ("a", "q", "y", True),
+                   ("b", "p", "z", False), ("a", "p", "b", False))
+    plan = PartitionPlan(fragment_of=(0, 1, 0, 1, 1), node_of_fragment=(0, 1), m=2,
+                         replicated=replicated)
+    q = QueryPattern("star", (TriplePattern("a", "p", "?x"), TriplePattern("a", "p", "?y")))
+    reference = evaluate_centralized(store, q).bindings
+    assert len(reference) == 9
+    for home, expected in enumerate(per_home):
+        result = evaluate_distributed(store, plan, q, home)
+        assert result.bindings == reference
+        m = result.metrics
+        assert (m.nodes_touched, m.locally_answered, m.triples_scanned, m.qet_proxy) == expected
 
 
 @pytest.mark.parametrize("text, q, expected", [
@@ -477,7 +609,7 @@ def test_home_metrics_match_a_pass_over_the_home_data_alone():
         _, replicated_plan = replicate(grown, compute_centrality(store), rng.uniform(0.3, 1.0), store)
         plans = [grown, replicated_plan, round_robin_triple_plan(store, 3)]
         plans += [_random_plan(rng, store, rng.randint(1, 6), rng.randint(1, 4)) for _ in range(2)]
-        workload = generate_workload(store, rng.randint(0, 999))
+        workload = generate_workload(store, rng.randint(0, 999)) + _generic_queries(rng, store, 12)
         references = [evaluate_centralized(store, q).bindings for q in workload]
         for plan in plans:
             for home in range(plan.m):
@@ -589,6 +721,30 @@ def test_one_cluster_pass_per_query_whatever_the_node_count(monkeypatch):
         calls.clear()
         evaluate_distributed(store, plan, workload[0], m - 1)
         assert calls == workload[:1]
+
+
+def test_query_work_grows_linearly_with_the_fan_out():
+    """The distributed pass counted, not timed: inc_report's bytecode count
+    for a snowflake through one sensor fits that sensor's observation
+    fan-out from 1x to 5x data. Only the fit is asserted, as absolute
+    counts differ between Python versions."""
+    sensor = "sensor/0000"
+    q = QueryPattern("snowflake", (
+        TriplePattern(sensor, MODEL_PREDICATE, "?a"),
+        TriplePattern(sensor, LINK_PREDICATE, "?b"),
+        TriplePattern("?b", "airTemperature", "?c"),
+    ))
+    fan_outs, work = [], []
+    for scale in range(1, 6):
+        store = generate_sensor_graph(7, 4, 30 * scale)
+        plan = round_robin_triple_plan(store, 3)
+        plan.seen_by  # built once per plan, not per query
+        fan_outs.append(sum(store.triples[pos].predicate == LINK_PREDICATE
+                            for pos in store.subject_index[sensor]))
+        work.append(count_ops(inc_report, store, plan, [q]))
+    assert max(fan_outs) >= 4 * min(fan_outs)
+    r2 = statistics.correlation(fan_outs, work) ** 2
+    assert r2 >= 0.999, (fan_outs, work)
 
 
 def test_inc_report_picks_the_cheapest_home_per_query():

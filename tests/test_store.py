@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+
+import tripleshard.store as store_module
 
 from tripleshard.store import (
     CsvMapping,
@@ -78,6 +81,25 @@ def test_literal_escaping_round_trips():
         ]
     )
     assert parse_ntriples(serialize_ntriples(original)) == original
+
+
+def test_line_pattern_agrees_with_the_per_character_literal_pattern():
+    # oracle: the literal written as one alternation per character; the
+    # unrolled form must match the same lines with the same groups
+    oracle = re.compile(
+        store_module._LINE_RE.pattern.replace(store_module._LITERAL, r'"((?:[^"\\]|\\.)*)"')
+    )
+    assert oracle.pattern != store_module._LINE_RE.pattern
+    rng = random.Random(53)
+    pieces = ("<a>", "<p>", "<b c>", '"', '\\', '\\"', "\\\\", " ", "\t", ".", "x", "é", "<", ">", "\n")
+    lines = ['<a> <p> "' + "".join(rng.choices(pieces, k=rng.randint(0, 8))) + '" .' for _ in range(3000)]
+    lines += ["".join(rng.choices(pieces, k=rng.randint(0, 14))) for _ in range(3000)]
+    matched = 0
+    for line in lines:
+        found, expected = store_module._LINE_RE.match(line), oracle.match(line)
+        assert (found and found.groups()) == (expected and expected.groups()), line
+        matched += found is not None
+    assert matched > 500
 
 
 def test_store_rejects_empty_subject_or_predicate():
