@@ -73,9 +73,10 @@ class PipelineConfig:
             raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
         counts = self.workload_counts
         if not (isinstance(counts, (list, tuple)) and len(counts) == 4
-                and all(type(c) is int and c >= 0 for c in counts)):
+                and all(type(c) is int and c >= 0 for c in counts) and any(counts)):
             raise ValueError(
-                f"workload_counts must be a list of four non-negative integers, got {counts!r}"
+                "workload_counts must be a list of four non-negative integers, not all zero,"
+                f" got {counts!r}"
             )
         object.__setattr__(self, "workload_counts", tuple(counts))
         if self.k < 1:
@@ -227,6 +228,13 @@ def _report_text(data: dict, outcome: PipelineOutcome) -> str:
 def run_pipeline(config: PipelineConfig) -> PipelineOutcome:
     """Execute all stages and write every artifact into ``config.out_dir``."""
     outcome = execute_pipeline(config)
+    _write_artifacts(config, outcome)
+    return outcome
+
+
+def _write_artifacts(config: PipelineConfig, outcome: PipelineOutcome) -> str:
+    """Write every artifact of ``outcome`` into ``config.out_dir``; returns
+    the text of ``report.txt``."""
     data = _report_data(config, outcome)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,8 +244,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineOutcome:
     (out / "workload.json").write_text(workload_to_json(outcome.report.workload))
     (out / "inc_report.csv").write_text(inc_report_csv(outcome.report))
     (out / "report.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    (out / "report.txt").write_text(_report_text(data, outcome))
-    return outcome
+    text = _report_text(data, outcome)
+    (out / "report.txt").write_text(text)
+    return text
 
 
 SCALE_CSV_HEADER = (
@@ -334,22 +343,34 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config = build_config(args)
-    run_pipeline(config)
-    print((Path(config.out_dir) / "report.txt").read_text(), end="")
+    print(_write_artifacts(config, execute_pipeline(config)), end="")
     print(f"artifacts written to {config.out_dir}")
     return 0
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
     config = build_config(args)
-    scales = [int(s) for s in args.scales.split(",") if s.strip()]
-    rows = run_scaling(config, scales, repeats=args.repeats)
+    rows = run_scaling(config, args.scales, repeats=args.repeats)
     csv_text = scale_rows_csv(rows)
     out = Path(args.out or "scale.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(csv_text)
     print(csv_text, end="")
     return 0
+
+
+def _scales(text: str) -> list[int]:
+    """The ``--scales`` list; anything but positive integers is an argparse
+    error naming the flag."""
+    try:
+        scales = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        scales = []
+    if not scales or any(s < 1 for s in scales):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated positive integers, got {text!r}"
+        )
+    return scales
 
 
 def _add_common(
@@ -401,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="re-run the pipeline at growing data volumes")
     _add_common(p, with_input=False)
-    p.add_argument("--scales", default="1,2,3,4,5", help="comma-separated multipliers")
+    p.add_argument("--scales", type=_scales, default="1,2,3,4,5", help="comma-separated multipliers")
     p.add_argument("--repeats", type=int, default=1, help="timing repeats per scale")
     p.add_argument("--out", help="scale CSV (default scale.csv)")
     p.set_defaults(func=cmd_scale)

@@ -19,16 +19,18 @@ form goes to the generic matcher. A fault in the fast form therefore shows as
 a binding that differs from the reference.
 
 The distributed route compiles the query, once per call, into variable
-slots: a row is a tuple of values in slot order, extended by the values each
-match binds, and a binding is its row's tuple. The index entries examined
-are counted with one histogram per probe reach. Bindings are named only when
-iterated, which only ``evaluate_distributed`` does.
+slots: a row is a tuple of values in slot order, every match is the tuple
+of values it binds, in slot order, and extends a row as ``row + values``; a
+binding is its row's tuple. The index entries examined are counted with one
+histogram per probe reach. Bindings are named only when iterated, which only
+``evaluate_distributed`` does.
 
 A range scan ``?s P ?o`` builds no rows in the distributed route: its costs
 are read from a per-plan range summary of ``P``, built on the first scan of
-``P`` and cached on the plan, with two bisects per node. Its bindings are
-built only when iterated, and only ``evaluate_distributed`` does that;
-``inc_report`` prices a query without them.
+``P`` and cached on the plan, with two bisects per node. Its rows are the
+triples of its in-range slice, and its bindings are named from them like any
+other query's, only when iterated; ``inc_report`` prices a query without
+them.
 
 A query is answered locally when the home node's visible triples alone
 reproduce the reference bindings. The latency proxy charges the triples
@@ -45,6 +47,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, repeat, tee
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .plan import PartitionPlan
@@ -206,14 +210,13 @@ def _probe_matches(
     store: TripleStore, seen_by: Sequence[int], s: str, p: str, o: str, free: tuple[bool, ...]
 ) -> tuple[Sequence[int], list[tuple]]:
     """The distributed route's matcher: the candidates ``_pattern_matches``
-    examines and, in its order, each match as the values it binds, in slot
-    order, with the ``seen_by`` mask of its position.
+    examines and, in its order, each match as ``(values, mask)``: the values
+    it binds, each variable first seen in the pattern in term order, and the
+    ``seen_by`` mask of its position.
 
     The probe form of linear, star and snowflake queries, ``(S, P, ?o)``, is
     matched without a per-triple ``_bind``, as the subject's candidates whose
-    predicate is ``P``, and a match is the pair ``(object, mask)``. Any other
-    form binds each variable first seen in the pattern, in term order, into
-    a tuple: ``((value, ...), mask)``.
+    predicate is ``P``; its one free variable is the object.
     """
     if free == (False, False, True):
         triples = store.triples
@@ -222,7 +225,7 @@ def _probe_matches(
         for pos in candidates:
             t = triples[pos]
             if t.predicate == p:
-                matches.append((t.object, seen_by[pos]))
+                matches.append(((t.object,), seen_by[pos]))
         return candidates, matches
     candidates, matches = _pattern_matches(store, s, p, o, free)
     return candidates, [(tuple(row.values()), seen_by[pos]) for pos, row in matches]
@@ -324,24 +327,15 @@ def _range_reach(store: TripleStore, plan: PartitionPlan, p: str) -> _RangeReach
     return summary
 
 
-def _slice_bindings(
-    triples: Sequence, positions: Sequence[int], lo: int, hi: int, s: str, term: str
-) -> Iterator[Binding]:
-    """The bindings of the range scan rows ``positions[lo:hi]``, built as
-    they are iterated; a literal/resource twin yields its binding twice."""
-    flip = term < s  # a binding lists its variables by name
-    for pos in positions[lo:hi]:
-        subject, _, obj, _ = triples[pos]
-        yield ((term, obj), (s, subject)) if flip else ((s, subject), (term, obj))
-
-
 def _named_bindings(slots: Mapping[str, int], rows: Iterable[tuple[str, ...]]) -> Iterator[Binding]:
     """The bindings of the value tuples ``rows``, each listing its variables
-    by name, built as they are iterated."""
+    by name, built as they are iterated: zipped from one ``(name, value)``
+    column per variable, with no zip per row. With no variable, each row is
+    the empty binding."""
     names = sorted(slots)
-    order = [slots[name] for name in names]
-    for row in rows:
-        yield tuple(zip(names, [row[i] for i in order]))
+    columns = [zip(repeat(name), map(itemgetter(slots[name]), column))
+               for name, column in zip(names, tee(rows, len(names)))]
+    yield from zip(*columns) if names else rows
 
 
 def _propagate_eval(
@@ -352,9 +346,9 @@ def _propagate_eval(
     The query is compiled once: each variable takes the next slot when a
     pattern first binds it, and each term of a pattern is read once as a
     constant, a bound slot or free. A row is the tuple of its slots' values,
-    extended by a match as ``row + (obj,)`` on the probe form and by the
-    tuple of the values it binds on any other; rows with equal tuples are one
-    binding, which is how a literal/resource twin collapses.
+    and a match extends it as ``row + values``, the values the match binds in
+    slot order; rows with equal tuples are one binding, which is how a
+    literal/resource twin collapses.
 
     Each row carries its reach, the AND of ``seen_by`` over the positions
     that built it: the nodes that could build it alone. Returns the bindings,
@@ -373,8 +367,10 @@ def _propagate_eval(
     slice of the store's numeric index of ``P``, and two more per node, into
     the plan's range summary of ``P`` (``_range_reach``), tell whether that
     node could build the slice's bindings alone. Like the generic path, it
-    examines, and matches, every candidate of ``P``. Its bindings are built
-    only when iterated, which only ``evaluate_distributed`` does.
+    examines, and matches, every candidate of ``P``. Its rows are the slice's
+    triples, whose subject and object fill the two variables' slots, read
+    only when its bindings are iterated, which only ``evaluate_distributed``
+    does; a literal/resource twin yields its binding twice.
     """
     f, (s, p, term) = q.range_filter, q.patterns[0]
     if f is not None and is_variable(s) and is_variable(term) and s != term and not is_variable(p):
@@ -385,7 +381,8 @@ def _propagate_eval(
         for node, blind in enumerate(summary.blind):
             if bisect_left(blind, lo) == bisect_left(blind, hi):
                 everywhere |= 1 << node
-        bindings = _slice_bindings(store.triples, positions, lo, hi, s, term)
+        rows = map(store.triples.__getitem__, islice(positions, lo, hi))
+        bindings = _named_bindings({s: 0, term: 2}, rows)
         return bindings, everywhere, {-1: summary.counts}, summary.counts.keys()
 
     seen_by = plan.seen_by
@@ -398,8 +395,7 @@ def _propagate_eval(
         # free term keys its probe by its text
         rs, rp, ro = slots.get(s), slots.get(p), slots.get(o)
         free = (s[0] == "?" and rs is None, p[0] == "?" and rp is None, o[0] == "?" and ro is None)
-        fast = free == (False, False, True)
-        if fast:  # the probe form binds its object alone
+        if free == (False, False, True):  # the probe form binds its object alone
             slots[o] = len(slots)
         else:
             for name, var in zip((s, p, o), free):
@@ -414,12 +410,8 @@ def _propagate_eval(
             if probe is None:
                 probe = probes[key] = [*_probe_matches(store, seen_by, *key), 0]
             probe[2] |= reach
-            if fast:
-                for obj, mask in probe[1]:
-                    append((row + (obj,), reach & mask))
-            else:
-                for values, mask in probe[1]:
-                    append((row + values, reach & mask))
+            for values, mask in probe[1]:
+                append((row + values, reach & mask))
         rows = next_rows
         if not rows:
             break
@@ -672,15 +664,32 @@ def workload_from_json(text: str) -> list[QueryPattern]:
 # ---------------------------------------------------------------------------
 # communication report
 
-@dataclass
-class IncReport:
+class IncReport(NamedTuple):
+    """A workload's outcomes, one per query at its chosen home; the means
+    are read from them."""
+
     workload: Sequence[QueryPattern]
-    outcomes: list[QueryOutcome]  # one per query, at its chosen home
-    fraction_local: float
-    mean_nodes_touched: float
-    mean_joins: float
-    mean_triples_scanned: float
-    mean_qet_proxy: float
+    outcomes: list[QueryOutcome]
+
+    @property
+    def fraction_local(self) -> float:
+        return sum(o.locally_answered for o in self.outcomes) / len(self.outcomes)
+
+    @property
+    def mean_nodes_touched(self) -> float:
+        return sum(o.nodes_touched for o in self.outcomes) / len(self.outcomes)
+
+    @property
+    def mean_joins(self) -> float:
+        return sum(len(q.patterns) - 1 for q in self.workload) / len(self.outcomes)
+
+    @property
+    def mean_triples_scanned(self) -> float:
+        return sum(o.triples_scanned for o in self.outcomes) / len(self.outcomes)
+
+    @property
+    def mean_qet_proxy(self) -> float:
+        return sum(o.qet_proxy for o in self.outcomes) / len(self.outcomes)
 
 
 def inc_report(
@@ -700,24 +709,13 @@ def inc_report(
         raise ValueError("workload must contain at least one query")
 
     homes = range(plan.m) if policy == "best" else (policy,)
-    outcomes = [
+    return IncReport(workload, [
         min(
             _evaluate(store, plan, q, homes)[1],
             key=lambda o: (o.nodes_touched, not o.locally_answered, o.home_node),
         )
         for q in workload
-    ]
-
-    count = len(outcomes)
-    return IncReport(
-        workload=workload,
-        outcomes=outcomes,
-        fraction_local=sum(o.locally_answered for o in outcomes) / count,
-        mean_nodes_touched=sum(o.nodes_touched for o in outcomes) / count,
-        mean_joins=sum(len(q.patterns) - 1 for q in workload) / count,
-        mean_triples_scanned=sum(o.triples_scanned for o in outcomes) / count,
-        mean_qet_proxy=sum(o.qet_proxy for o in outcomes) / count,
-    )
+    ])
 
 
 def inc_report_csv(report: IncReport) -> str:

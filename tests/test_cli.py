@@ -150,7 +150,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert parse_ntriples(out.read_text()).n > 0
 
 
-def test_pipeline_writes_all_artifacts(tmp_path):
+def test_pipeline_writes_all_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["pipeline", "--sensors", "8", "--observations", "10", "--k", "3",
                "--nodes", "3", "--seed", "6", "--out", str(out)])
@@ -175,6 +175,7 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     # the paper's headline figure, read from the same dict as report.json
     qet = f"mean QET proxy (meanQetProxy) {report['inc']['meanQetProxy']:.1f}\n"
     assert qet in text
+    assert capsys.readouterr().out == f"{text}artifacts written to {out}\n"
 
 
 def test_pipeline_is_deterministic_across_runs(tmp_path):
@@ -324,6 +325,16 @@ def test_scale_rejects_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scales", ["1,a", "1.5", "0,2"])
+def test_scale_rejects_scales_that_are_not_positive_integers(tmp_path, capsys, scales):
+    out = tmp_path / "scale.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["scale", "--sensors", "2", "--observations", "2", "--scales", scales, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --scales:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scaling_requires_generated_data(tmp_path):
     config = PipelineConfig(input_path=str(tmp_path / "t.nt"))
     with pytest.raises(ValueError):
@@ -347,6 +358,7 @@ def test_run_pipeline_outcome_consistency(tmp_path):
     ("threshold", True), ("threshold", "0.5"), ("threshold", [0.5]),
     ("workload_counts", 5), ("workload_counts", [1, 2, 3]), ("workload_counts", [1, 2, 3, 4.0]),
     ("workload_counts", [1, 2, 3, True]), ("workload_counts", "1234"),
+    ("workload_counts", [0, 0, 0, 0]),
     ("out_dir", 5), ("out_dir", None), ("input_path", 5),
 ])
 def test_config_values_of_the_wrong_type_name_the_key(tmp_path, capsys, key, value):

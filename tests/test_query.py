@@ -16,6 +16,7 @@ from tripleshard.plan import PartitionPlan, round_robin_triple_plan
 from tripleshard.query import (
     DEFAULT_WORKLOAD_COUNTS,
     HOP_PENALTY,
+    QueryOutcome,
     QueryPattern,
     QueryResult,
     RangeFilter,
@@ -411,8 +412,6 @@ def _slot_matches(store, terms, free):
     and its mask; with positions for masks (``seen_by`` is the identity), a
     mask names its triple."""
     candidates, matches = query_module._probe_matches(store, range(store.n), *terms, free)
-    if free == (False, False, True):  # the probe form binds one object
-        matches = [((obj,), mask) for obj, mask in matches]
     return list(candidates), matches
 
 
@@ -824,6 +823,22 @@ def test_fixed_policy_uses_requested_home():
     plan = _split_plan()
     report = inc_report(store, plan, [CHAIN], policy=1)
     assert report.outcomes[0].home_node == 1
+
+
+def test_inc_report_means_follow_its_outcomes():
+    store = _store(("a", "p", "b"), ("b", "q", "c"))
+    report = inc_report(store, _split_plan(), [CHAIN], policy="best")
+    star = QueryPattern("star", tuple(TriplePattern("a", p, f"?v{p}") for p in "pqr"))
+    report = report._replace(
+        workload=[star, CHAIN, star],
+        outcomes=[QueryOutcome(0, 1, True, 4, 4), QueryOutcome(1, 3, False, 10, 210),
+                  QueryOutcome(1, 1, True, 7, 7)],
+    )
+    assert report.fraction_local == 2 / 3
+    assert report.mean_nodes_touched == 5 / 3
+    assert report.mean_joins == 5 / 3
+    assert report.mean_triples_scanned == 7.0
+    assert report.mean_qet_proxy == 221 / 3
 
 
 def _forbid_evaluation(monkeypatch):
