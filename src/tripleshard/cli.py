@@ -17,8 +17,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .generator import generate_sensor_graph
-from .layout import Layout, build_layout
-from .metrics import StageTimer
+from .layout import Layout, StageTimer, build_layout
 from .plan import PartitionPlan
 from .query import (
     DEFAULT_WORKLOAD_COUNTS,
@@ -137,7 +136,7 @@ class PipelineOutcome:
     store: TripleStore
     layout: Layout
     report: IncReport
-    timer: StageTimer
+    stages_ms: dict[str, float]  # CPU time per stage, as the timer read it
 
 
 def execute_pipeline(config: PipelineConfig) -> PipelineOutcome:
@@ -149,7 +148,7 @@ def execute_pipeline(config: PipelineConfig) -> PipelineOutcome:
     with timer.stage("evaluate"):
         workload = generate_workload(store, config.seed, config.workload_counts)
         report = inc_report(store, layout.plan, workload)
-    return PipelineOutcome(store, layout, report, timer)
+    return PipelineOutcome(store, layout, report, timer.stages_ms)
 
 
 def _report_data(config: PipelineConfig, outcome: PipelineOutcome) -> dict:
@@ -160,10 +159,10 @@ def _report_data(config: PipelineConfig, outcome: PipelineOutcome) -> dict:
         "k": config.k,
         "nodes": config.nodes,
         "seed": config.seed,
-        "stages_ms": outcome.timer.stages_ms,
+        "stages_ms": outcome.stages_ms,
         "fragments": [
-            {"id": f.id, "master": f.master_subject, "size": f.size}
-            for f in layout.partition.fragments
+            {"id": fid, "master": f.master_subject, "size": f.size}
+            for fid, f in enumerate(layout.partition.fragments)
         ],
         "orphanTriples": layout.partition.orphan_count,
         "nodeLoads": layout.plan.node_loads(),
@@ -172,7 +171,7 @@ def _report_data(config: PipelineConfig, outcome: PipelineOutcome) -> dict:
             "derived": config.threshold is None,
             "replicatedPredicates": sorted(layout.decision.replicated_predicates),
             "replicatedTriples": len(layout.decision.replicated_positions),
-            "level": layout.decision.replication_level,
+            "level": len(layout.plan.replicated) / outcome.store.n,
         },
         "inc": {
             "fractionLocal": report.fraction_local,
@@ -212,7 +211,7 @@ def _report_text(data: dict, outcome: PipelineOutcome) -> str:
     lines.append(f"  threshold {replication['threshold']:.4f} ({source})")
     lines.append(
         f"  predicates replicated: {len(replication['replicatedPredicates'])}"
-        f" of {len(layout.table.values)}"
+        f" of {len(layout.table.counts)}"
     )
     lines.append(
         f"  triples replicated: {replication['replicatedTriples']}"
@@ -281,7 +280,7 @@ def run_scaling(
                 observations_per_sensor=config.observations_per_sensor * scale,
             )
             outcome = execute_pipeline(scaled)
-            for name, ms in outcome.timer.stages_ms.items():
+            for name, ms in outcome.stages_ms.items():
                 samples[i].setdefault(f"{name}_ms", []).append(ms)
             if round_index == 0:
                 rows.append(

@@ -33,13 +33,12 @@ def top_subjects(store: TripleStore, k: int) -> list[str]:
 
 
 class Fragment(NamedTuple):
-    id: int
     master_subject: str
     size: int  # member triples
 
 
 class PartitionResult(NamedTuple):
-    fragments: tuple[Fragment, ...]
+    fragments: tuple[Fragment, ...]  # a fragment's id is its index here
     fragment_of: tuple[int, ...]  # fragment id per store position
     orphan_count: int  # triples placed by the smallest-fragment fallback
 
@@ -99,5 +98,5 @@ def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
         orphan_count += len(group)
         absorb(min(range(len(sizes)), key=sizes.__getitem__), group)
 
-    fragments = tuple(Fragment(i, m, sizes[i]) for i, m in enumerate(masters))
+    fragments = tuple(map(Fragment, masters, sizes))
     return PartitionResult(fragments, tuple(fragment_of), orphan_count)

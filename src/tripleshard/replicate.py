@@ -6,6 +6,10 @@ subject scores exactly 1.0; heavy reuse by few subjects pushes the score
 toward 0. Triples whose predicate scores at or above a threshold are copied
 to every node that does not already own them, so frequently joined, widely
 shared properties become answerable everywhere.
+
+The table keeps each predicate's two counts and derives its score from them.
+The decision keeps what was chosen; the replication level is read from the
+plan, as its replicated triples over the store size.
 """
 
 from __future__ import annotations
@@ -22,8 +26,12 @@ from .store import TripleStore
 
 @dataclass
 class CentralityTable:
-    values: dict[str, float]
     counts: dict[str, tuple[int, int]]  # predicate -> (distinct subjects, edge count)
+
+    @property
+    def values(self) -> dict[str, float]:
+        """Centrality per predicate: distinct subjects over edge count."""
+        return {p: distinct / edges for p, (distinct, edges) in self.counts.items()}
 
 
 @dataclass
@@ -31,21 +39,17 @@ class ReplicationDecision:
     threshold: float
     replicated_predicates: frozenset[str]
     replicated_positions: tuple[int, ...]  # sorted; the plan's ``replicated``
-    replication_level: float  # replicated triples / store size
 
 
 def compute_centrality(store: TripleStore) -> CentralityTable:
     """Degree centrality per predicate; requires a non-empty store."""
     if store.n == 0:
         raise ValueError("cannot compute predicate centrality of an empty store")
-    values: dict[str, float] = {}
-    counts: dict[str, tuple[int, int]] = {}
-    for predicate, positions in store.predicate_index.items():
-        distinct = len({store.triples[p].subject for p in positions})
-        edges = len(positions)
-        values[predicate] = distinct / edges
-        counts[predicate] = (distinct, edges)
-    return CentralityTable(values, counts)
+    triples = store.triples
+    return CentralityTable({
+        predicate: (len({triples[p].subject for p in positions}), len(positions))
+        for predicate, positions in store.predicate_index.items()
+    })
 
 
 def _check_threshold(value: float) -> float:
@@ -95,10 +99,7 @@ def replicate(
     chosen = frozenset(p for p, c in table.values.items() if c >= threshold)
     # a position has one predicate, so the chosen index lists are disjoint
     replicated = tuple(sorted(chain.from_iterable(store.predicate_index[p] for p in chosen)))
-
-    level = len(replicated) / store.n if store.n else 0.0
-    decision = ReplicationDecision(threshold, chosen, replicated, level)
-    return decision, replace(plan, replicated=replicated)
+    return ReplicationDecision(threshold, chosen, replicated), replace(plan, replicated=replicated)
 
 
 def centrality_csv(table: CentralityTable) -> str:
@@ -106,7 +107,8 @@ def centrality_csv(table: CentralityTable) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("predicate", "distinctSubjects", "edgeCount", "centrality"))
-    for predicate in sorted(table.values):
+    values = table.values
+    for predicate in sorted(table.counts):
         distinct, edges = table.counts[predicate]
-        writer.writerow((predicate, distinct, edges, f"{table.values[predicate]:.6f}"))
+        writer.writerow((predicate, distinct, edges, f"{values[predicate]:.6f}"))
     return out.getvalue()

@@ -62,7 +62,7 @@ def test_criterion_1_partition_completeness_and_cohesion(partition_runs):
     for store, result in runs:
         assert store.n <= 10_000
         assert len(result.fragment_of) == store.n, "fragments must cover every triple exactly once"
-        sizes = Counter({f.id: f.size for f in result.fragments})
+        sizes = Counter({fid: f.size for fid, f in enumerate(result.fragments)})
         assert Counter(result.fragment_of) == sizes, "fragment sizes must count their triples"
         home: dict[str, int] = {}
         for pos, fid in enumerate(result.fragment_of):
@@ -125,7 +125,9 @@ def test_criterion_5_replication_monotone_and_linear():
     table = compute_centrality(base)
     lower, _ = replicate(plan, table, 0.51, base)
     higher, _ = replicate(plan, table, 0.65, base)
-    assert lower.replication_level >= higher.replication_level
+    lower_level = len(lower.replicated_positions) / base.n
+    higher_level = len(higher.replicated_positions) / base.n
+    assert lower_level >= higher_level
 
     ns, counts = [], []
     for scale in range(1, 6):
@@ -139,8 +141,8 @@ def test_criterion_5_replication_monotone_and_linear():
     assert r2 >= 0.9, f"replica growth not linear: r2={r2:.3f}"
     _ok(
         5,
-        f"level({0.51})={lower.replication_level:.3f} >= "
-        f"level({0.65})={higher.replication_level:.3f}; replica growth r2={r2:.4f}",
+        f"level({0.51})={lower_level:.3f} >= "
+        f"level({0.65})={higher_level:.3f}; replica growth r2={r2:.4f}",
     )
 
 

@@ -44,3 +44,23 @@ def test_benchmark_layout_matches_build_layout(make_store, k, threshold):
     assert bench.plan_json == ours.plan.to_json()
     assert bench.partition.orphan_count == ours.partition.orphan_count
     assert bench.decision.replicated_positions == ours.decision.replicated_positions
+
+
+@pytest.mark.parametrize("make_store, k, threshold", [
+    (_sensor_store, 8, 0.65), (_linked_store, 16, None),
+], ids=["sensor", "linked"])
+def test_benchmark_layout_figures_match_build_layout(make_store, k, threshold):
+    """The layout records' fields the benchmark reads give build_layout's figures."""
+    store = make_store()
+    semantic = workloads.semantic_layout(store, k, threshold)
+    ours = build_layout(store, k, workloads.NODES, threshold)
+    copies = store.n + len(ours.plan.replicated) * (workloads.NODES - 1)
+    for served, amplification in (
+        (semantic, copies / store.n), (workloads.round_robin_layout(store), 1.0),
+    ):
+        run = workloads.Run(seed=1, seconds=1.0, scale=1.0, tracer=None)
+        workloads.layout_shape_metrics(run, served)
+        workloads.layout_counts(run, semantic, served)
+        assert run.counts["partition.orphan_triples"] == ours.partition.orphan_count
+        assert run.counts["replicate.replicated_triples"] == len(ours.plan.replicated)
+        assert run.end_to_end["storage_amplification"] == amplification

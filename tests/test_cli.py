@@ -189,6 +189,20 @@ def test_pipeline_is_deterministic_across_runs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("flags, pinned", [
+    ({}, "report_defaults.json"),
+    (dict(sensors=40, observations_per_sensor=30, seed=11, k=7, nodes=4, threshold=0.7),
+     "report_threshold_0.7.json"),
+], ids=["defaults", "threshold-0.7"])
+def test_report_json_is_pinned(tmp_path, flags, pinned):
+    """``report.json`` but its stage times: fragment ids, node loads, the
+    replication level and the query means."""
+    run_pipeline(PipelineConfig(out_dir=str(tmp_path), **flags))
+    report = json.loads((tmp_path / "report.json").read_text())
+    del report["stages_ms"]
+    assert report == json.loads((Path(__file__).parent / "data" / pinned).read_text())
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -3,8 +3,8 @@ import statistics
 
 import pytest
 
-from tripleshard.metrics import StageTimer
 from tripleshard.generator import generate_sensor_graph
+from tripleshard.layout import StageTimer
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.store import Triple, TripleStore
 
@@ -72,7 +72,7 @@ def test_unreferenced_group_is_orphaned_to_smallest_fragment():
 def test_every_subject_a_master_means_no_orphans():
     store = _store(("a", "p", "x"), ("c", "p", "y"))
     result = grow_fragments(store, ["a", "c"])
-    assert [_members(result, f.id) for f in result.fragments] == [[0], [1]]
+    assert [_members(result, fid) for fid, _ in enumerate(result.fragments)] == [[0], [1]]
     assert result.orphan_count == 0
 
 
@@ -133,8 +133,8 @@ def test_completeness_and_cohesion_randomized():
         result = grow_fragments(store, top_subjects(store, k))
 
         seen: list[int] = []
-        for f in result.fragments:
-            members = _members(result, f.id)
+        for fid, f in enumerate(result.fragments):
+            members = _members(result, fid)
             assert f.size == len(members)
             seen.extend(members)
         assert sorted(seen) == list(range(store.n))

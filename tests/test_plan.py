@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+from tripleshard.generator import generate_sensor_graph
+from tripleshard.layout import build_layout
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.plan import PartitionPlan, PlanError, build_plan, round_robin_triple_plan
 from tripleshard.store import Triple, TripleStore
@@ -37,6 +39,18 @@ def test_owner_lookup_covers_every_position():
 def test_validate_accepts_built_plans():
     store = _store(12)
     grown_plan(store, 3, 2).validate(store)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP known defect: a plan is accepted against a different store of the same size",
+)
+def test_validate_rejects_a_plan_of_another_store_of_the_same_size():
+    plan = build_layout(generate_sensor_graph(8, 6, 8), 3, 3).plan
+    other = generate_sensor_graph(21, 6, 8)
+    assert other.n == len(plan.fragment_of) == 276
+    with pytest.raises(PlanError):
+        plan.validate(other)
 
 
 def test_surplus_nodes_stay_empty_and_round_trip():

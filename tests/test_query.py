@@ -810,6 +810,17 @@ def test_grown_plan_beats_round_robin_without_any_replicas():
     assert grown_local >= 0.5
 
 
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP known defect: a remote-only query is charged no hop",
+)
+def test_remote_only_query_touches_two_nodes():
+    store = random_store(random.Random(41), 400)
+    workload = generate_workload(store, 2)
+    outcome = inc_report(store, grown_plan(store, 4, 3), workload, policy=2).outcomes[1]
+    assert (outcome.home_node, outcome.locally_answered) == (2, False)
+    assert outcome.nodes_touched == 2
+
+
 def test_single_node_cluster_is_always_local():
     store = generate_sensor_graph(13, 6, 8)
     plan = grown_plan(store, 2, 1)

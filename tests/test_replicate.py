@@ -109,7 +109,6 @@ def test_threshold_above_all_centralities_replicates_nothing():
     table = compute_centrality(store)
     decision, augmented = replicate(plan, table, 1.0, store)
     assert decision.replicated_positions == ()
-    assert decision.replication_level == 0.0
     assert augmented.replicas == ((), ())
 
 
@@ -119,7 +118,7 @@ def test_threshold_at_minimum_replicates_everything():
     plan = grown_plan(store, 2, 3)
     table = compute_centrality(store)
     decision, augmented = replicate(plan, table, min(table.values.values()), store)
-    assert decision.replication_level == 1.0
+    assert len(decision.replicated_positions) == store.n
     for node_id in range(3):
         owned = {pos for pos in range(store.n) if augmented.owner_of(pos) == node_id}
         assert owned | set(augmented.replicas[node_id]) == set(range(store.n))
@@ -140,7 +139,7 @@ def test_replication_level_is_fraction_of_store():
     table = compute_centrality(store)
     decision, _ = replicate(plan, table, 0.8, store)
     assert decision.replicated_predicates == {"q"}
-    assert decision.replication_level == pytest.approx(1 / 3)
+    assert decision.replicated_positions == (2,)
 
 
 def test_invalid_threshold_rejected():
@@ -161,7 +160,6 @@ def test_lower_threshold_never_replicates_less():
         t1, t2 = sorted((rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)))
         low, _ = replicate(plan, table, t1, store)
         high, _ = replicate(plan, table, t2, store)
-        assert low.replication_level >= high.replication_level
         assert set(low.replicated_positions) >= set(high.replicated_positions)
 
 

@@ -83,6 +83,20 @@ def test_literal_escaping_round_trips():
     assert parse_ntriples(serialize_ntriples(original)) == original
 
 
+@pytest.mark.xfail(
+    strict=True, raises=ParseError,
+    reason="ROADMAP known defect: serialize_ntriples writes lines parse_ntriples rejects",
+)
+@pytest.mark.parametrize("triple", [
+    Triple("a b", "p", "o"),
+    Triple("a", "p", "<o>"),
+    Triple("a", "p", "x\ny", True),
+], ids=["space-in-resource", "angle-brackets-in-resource", "newline-in-literal"])
+def test_writer_output_parses_back(triple):
+    store = TripleStore([triple])
+    assert parse_ntriples(serialize_ntriples(store)) == store
+
+
 def test_line_pattern_agrees_with_the_per_character_literal_pattern():
     # oracle: the literal written as one alternation per character; the
     # unrolled form must match the same lines with the same groups
