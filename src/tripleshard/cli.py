@@ -170,7 +170,7 @@ def _report_data(config: PipelineConfig, outcome: PipelineOutcome) -> dict:
             "threshold": layout.decision.threshold,
             "derived": config.threshold is None,
             "replicatedPredicates": sorted(layout.decision.replicated_predicates),
-            "replicatedTriples": len(layout.decision.replicated_positions),
+            "replicatedTriples": len(layout.plan.replicated),
             "level": len(layout.plan.replicated) / outcome.store.n,
         },
         "inc": {
@@ -248,21 +248,24 @@ def _write_artifacts(config: PipelineConfig, outcome: PipelineOutcome) -> str:
     return text
 
 
-SCALE_CSV_HEADER = (
-    "scale,n,ingest_ms,partition_ms,distribute_ms,evaluate_ms,replicatedTriples,fractionLocal"
-)
+SCALE_CSV_COLUMNS = {  # the scale CSV's columns, in order, with the format of their values
+    "scale": "{}", "n": "{}", "ingest_ms": "{:.3f}", "partition_ms": "{:.3f}", "distribute_ms": "{:.3f}",
+    "evaluate_ms": "{:.3f}", "replicatedTriples": "{}", "fractionLocal": "{:.4f}",
+}
 
 
 def run_scaling(
     config: PipelineConfig, scales: list[int], repeats: int = 1
 ) -> list[dict]:
-    """Run the pipeline at each scale multiple of the observation volume.
+    """Run the pipeline at each scale multiple of the observation volume;
+    one row per scale.
 
     Only generated data can be scaled. With ``repeats`` above one, the scales
-    run in that many rounds and each reports its median time per stage.
+    run in that many rounds and each row reports its median time per stage.
     Taking the scales in turn exposes all of them alike to a slow or fast
     spell of the machine, and the median ignores a lone outlier either way.
-    The non-timing outputs are identical across repeats by determinism.
+    Every round sets the row's other figures again; they are identical
+    across rounds by determinism.
     """
     if config.input_path is not None:
         raise ValueError("scaling runs require generated data, not an input file")
@@ -271,39 +274,24 @@ def run_scaling(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
 
-    rows: list[dict] = []
-    samples: list[dict[str, list[float]]] = [{} for _ in scales]
-    for round_index in range(repeats):
-        for i, scale in enumerate(scales):
-            scaled = replace(
-                config,
-                observations_per_sensor=config.observations_per_sensor * scale,
-            )
-            outcome = execute_pipeline(scaled)
+    rows = [{"scale": scale} for scale in scales]
+    for _ in range(repeats):
+        for row in rows:
+            observations = config.observations_per_sensor * row["scale"]
+            outcome = execute_pipeline(replace(config, observations_per_sensor=observations))
+            row.update(n=outcome.store.n, replicatedTriples=len(outcome.layout.plan.replicated),
+                       fractionLocal=outcome.report.fraction_local)
             for name, ms in outcome.stages_ms.items():
-                samples[i].setdefault(f"{name}_ms", []).append(ms)
-            if round_index == 0:
-                rows.append(
-                    {
-                        "scale": scale,
-                        "n": outcome.store.n,
-                        "replicatedTriples": len(outcome.layout.decision.replicated_positions),
-                        "fractionLocal": outcome.report.fraction_local,
-                    }
-                )
-    for row, times in zip(rows, samples):
-        row.update({key: statistics.median(values) for key, values in times.items()})
+                row.setdefault(f"{name}_ms", []).append(ms)
+    for row in rows:
+        row.update({key: statistics.median(row[key]) for key in row if key.endswith("_ms")})
     return rows
 
 
 def scale_rows_csv(rows: list[dict]) -> str:
-    lines = [SCALE_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['scale']},{r['n']},{r['ingest_ms']:.3f},{r['partition_ms']:.3f},"
-            f"{r['distribute_ms']:.3f},{r['evaluate_ms']:.3f},"
-            f"{r['replicatedTriples']},{r['fractionLocal']:.4f}"
-        )
+    lines = [",".join(SCALE_CSV_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(fmt.format(row[key]) for key, fmt in SCALE_CSV_COLUMNS.items()))
     return "".join(line + "\n" for line in lines)
 
 

@@ -100,7 +100,8 @@ class RangeFilter:
 @dataclass(frozen=True)
 class QueryPattern:
     """A query of one of the four shapes; checked when built, so every
-    QueryPattern in hand is valid."""
+    QueryPattern in hand is valid. A list of patterns is stored as a tuple,
+    so a query can be hashed."""
 
     shape: str
     patterns: tuple[TriplePattern, ...]
@@ -111,6 +112,10 @@ class QueryPattern:
             raise ValueError(f"unknown query shape {self.shape!r}")
         if not self.patterns:
             raise ValueError("query must contain at least one pattern")
+        patterns = self.patterns
+        if not isinstance(patterns, (list, tuple)) or not all(isinstance(p, TriplePattern) for p in patterns):
+            raise ValueError(f"patterns must be a list or tuple of TriplePatterns, got {patterns!r}")
+        object.__setattr__(self, "patterns", tuple(patterns))
         for pat in self.patterns:
             for term in pat:
                 if not isinstance(term, str) or not term:
@@ -151,13 +156,19 @@ class QueryPattern:
 
 
 class QueryOutcome(NamedTuple):
-    """One query's cost when routed to ``home_node``."""
+    """One query's cost when routed to ``home_node``: what the cluster pass
+    measured for that home."""
 
     home_node: int
     nodes_touched: int
     locally_answered: bool
     triples_scanned: int
-    qet_proxy: int
+
+    @property
+    def qet_proxy(self) -> int:
+        """The latency proxy: the triples scanned plus ``HOP_PENALTY`` per
+        node touched beyond the first."""
+        return self.triples_scanned + HOP_PENALTY * (self.nodes_touched - 1)
 
 
 @dataclass
@@ -473,10 +484,7 @@ def _evaluate(
         else:  # a position the home cannot see is unreplicated: one bit, its owner's
             nodes_touched = len({home if mask & bit else mask.bit_length() - 1 for mask in served_masks})
             scanned += remote
-        outcomes.append(QueryOutcome(
-            home, nodes_touched, locally_answered, scanned,
-            scanned + HOP_PENALTY * (nodes_touched - 1),
-        ))
+        outcomes.append(QueryOutcome(home, nodes_touched, locally_answered, scanned))
     return bindings, outcomes
 
 
@@ -615,32 +623,33 @@ def query_to_dict(q: QueryPattern) -> dict:
     return data
 
 
-def _entry(data: object, key: str, where: str):
-    """``data[key]``, or a ValueError naming ``where`` and the key."""
+def _entries(data: object, where: str, keys: Sequence[str], optional: str | None = None) -> list:
+    """The values of ``keys`` in the JSON object ``data``, None for an absent
+    ``optional`` key; a ValueError names ``where`` and, if ``data`` is an
+    object, the first key it lacks or every key it has beyond ``keys``."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {data!r}")
-    if key not in data:
-        raise ValueError(f"{where} has no {key!r} key")
-    return data[key]
+    for key in keys:
+        if key not in data and key != optional:
+            raise ValueError(f"{where} has no {key!r} key")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ValueError(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
+    return [data.get(key) for key in keys]
 
 
 def query_from_dict(data: dict) -> QueryPattern:
     """A query from its JSON object; a malformed one raises ValueError
     naming the key at fault."""
-    items = _entry(data, "patterns", "query")
+    shape, items, f = _entries(data, "query", ("type", "patterns", "filter"), optional="filter")
     if not isinstance(items, list):
         raise ValueError(f"query 'patterns' must be a list, got {items!r}")
     patterns = tuple(
-        TriplePattern(*(_entry(item, key, f"pattern {j}") for key in "spo"))
+        TriplePattern(*_entries(item, f"pattern {j}", ("s", "p", "o")))
         for j, item in enumerate(items)
     )
-    f = data.get("filter")
-    range_filter = None
-    if f is not None:
-        range_filter = RangeFilter(
-            *(_entry(f, key, "filter") for key in ("predicate", "low", "high"))
-        )
-    return QueryPattern(_entry(data, "type", "query"), patterns, range_filter)
+    range_filter = None if f is None else RangeFilter(*_entries(f, "filter", ("predicate", "low", "high")))
+    return QueryPattern(shape, patterns, range_filter)
 
 
 def workload_to_json(workload: Sequence[QueryPattern]) -> str:

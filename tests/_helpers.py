@@ -13,7 +13,7 @@ import sys
 from tripleshard.allocate import allocate
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.plan import PartitionPlan, build_plan
-from tripleshard.query import HOP_PENALTY, QueryOutcome, QueryPattern
+from tripleshard.query import QueryOutcome, QueryPattern
 from tripleshard.store import Triple, TripleStore
 
 
@@ -197,5 +197,5 @@ def range_oracle(
     else:
         touched = len({home if home in nodes(pos) else min(nodes(pos)) for pos in candidates})
         scanned = len(candidates)
-    outcome = QueryOutcome(home, touched, local, scanned, scanned + HOP_PENALTY * (touched - 1))
+    outcome = QueryOutcome(home, touched, local, scanned)
     return frozenset(reach), outcome

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tripleshard.cli import (
-    PipelineConfig, build_config, build_parser, main, run_pipeline, run_scaling,
+    PipelineConfig, build_config, build_parser, main, run_pipeline, run_scaling, scale_rows_csv,
 )
 from tripleshard.plan import PartitionPlan
 from tripleshard.store import CsvMapping, parse_ntriples
@@ -328,6 +328,30 @@ def test_scale_verb_writes_csv(tmp_path, capsys):
     n1 = int(lines[1].split(",")[1])
     n2 = int(lines[2].split(",")[1])
     assert n2 > n1
+
+
+def test_scaling_keeps_one_row_per_scale_in_column_order():
+    config = PipelineConfig(sensors=12, observations_per_sensor=10, seed=11, k=4, nodes=3, threshold=0.7)
+    rows = run_scaling(config, [1, 2, 3], repeats=2)
+    assert [list(row) for row in rows] == [[
+        "scale", "n", "replicatedTriples", "fractionLocal",
+        "ingest_ms", "partition_ms", "distribute_ms", "evaluate_ms",
+    ]] * 3
+    assert [(r["scale"], r["n"], r["replicatedTriples"], r["fractionLocal"]) for r in rows] == [
+        (1, 636, 381, 1.0), (2, 1265, 761, 1.0), (3, 2052, 1244, 1.0),
+    ]
+    assert all(type(r[key]) is float for r in rows for key in r if key.endswith("_ms"))
+
+
+def test_scale_csv_columns_and_formats_are_pinned():
+    row = {"scale": 2, "n": 1265, "replicatedTriples": 761, "fractionLocal": 2 / 3,
+           "ingest_ms": 1.23456, "partition_ms": 0.5, "distribute_ms": 12.0004,
+           "evaluate_ms": 7.8906}
+    assert scale_rows_csv([row, {**row, "scale": 3, "fractionLocal": 1.0}]) == (
+        "scale,n,ingest_ms,partition_ms,distribute_ms,evaluate_ms,replicatedTriples,fractionLocal\n"
+        "2,1265,1.235,0.500,12.000,7.891,761,0.6667\n"
+        "3,1265,1.235,0.500,12.000,7.891,761,1.0000\n"
+    )
 
 
 def test_scale_rejects_input(tmp_path, capsys):

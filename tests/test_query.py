@@ -120,6 +120,17 @@ def test_validation_rejects_malformed_shapes():
         )
     with pytest.raises(ValueError):
         QueryPattern("mystery", (TriplePattern("a", "p", "?x"),))
+    for patterns in ((("a", "p"),), (("a", "p", "?x"),), [["a", "p", "?x"]], "a p ?x"):
+        with pytest.raises(ValueError, match="patterns must be a list or tuple of TriplePatterns"):
+            QueryPattern("star", patterns)
+
+
+def test_query_stores_its_patterns_as_a_tuple():
+    legs = [TriplePattern("a", "p", "?x"), TriplePattern("a", "q", "?y")]
+    q = QueryPattern("star", legs)
+    assert q.patterns == tuple(legs)
+    assert q == QueryPattern("star", tuple(legs))
+    assert hash(q) == hash(QueryPattern("star", tuple(legs)))
 
 
 @pytest.mark.parametrize("low, high", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
@@ -159,6 +170,11 @@ STAR = {"type": "star", "patterns": [{"s": "a", "p": "p", "o": "?x"}]}
      "filter 'low' must be a number"),
     ({**STAR, "filter": {"predicate": "p", "low": 0, "high": True}},
      "filter 'high' must be a number"),
+    ({**STAR, "fitler": {"predicate": "p", "low": 0, "high": 1}}, "query has unknown keys: 'fitler'"),
+    ({"type": "star", "patterns": [{"s": "a", "p": "p", "o": "?x", "typo": 1}]},
+     "pattern 0 has unknown keys: 'typo'"),
+    ({**STAR, "filter": {"predicate": "p", "low": 0, "high": 1, "hi": 2, "lo": 0}},
+     "filter has unknown keys: 'hi', 'lo'"),
     ("star", "query must be a JSON object"),
     (None, "query must be a JSON object"),
 ])
@@ -836,14 +852,22 @@ def test_fixed_policy_uses_requested_home():
     assert report.outcomes[0].home_node == 1
 
 
+def test_outcome_holds_four_measured_fields_and_derives_its_proxy():
+    outcome = QueryOutcome(0, 3, False, 10)
+    assert QueryOutcome._fields == ("home_node", "nodes_touched", "locally_answered", "triples_scanned")
+    assert len(outcome) == 4
+    assert outcome.qet_proxy == 10 + 2 * HOP_PENALTY
+    assert QueryOutcome(1, 1, True, 7).qet_proxy == 7
+
+
 def test_inc_report_means_follow_its_outcomes():
     store = _store(("a", "p", "b"), ("b", "q", "c"))
     report = inc_report(store, _split_plan(), [CHAIN], policy="best")
     star = QueryPattern("star", tuple(TriplePattern("a", p, f"?v{p}") for p in "pqr"))
     report = report._replace(
         workload=[star, CHAIN, star],
-        outcomes=[QueryOutcome(0, 1, True, 4, 4), QueryOutcome(1, 3, False, 10, 210),
-                  QueryOutcome(1, 1, True, 7, 7)],
+        outcomes=[QueryOutcome(0, 1, True, 4), QueryOutcome(1, 3, False, 10),
+                  QueryOutcome(1, 1, True, 7)],
     )
     assert report.fraction_local == 2 / 3
     assert report.mean_nodes_touched == 5 / 3
