@@ -269,7 +269,7 @@ def run_scaling(
     """
     if config.input_path is not None:
         raise ValueError("scaling runs require generated data, not an input file")
-    if not scales or any(s < 1 for s in scales):
+    if not scales or any(type(s) is not int or s < 1 for s in scales):
         raise ValueError("scales must be positive integers")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")

@@ -4,6 +4,11 @@ The store keeps triples in first-occurrence order and treats the graph as a
 set: exact duplicates are dropped on construction. Two hash indexes map
 subjects and predicates to triple positions; a sorted numeric index per
 predicate is built on first use.
+
+Ingest shares terms: within one ``parse_ntriples`` or ``ingest_csv`` call,
+every equal subject, predicate or object string, resource or literal, is one
+``str`` object, so a term repeated across many triples is held once. The
+lookup table is dropped when ingest returns.
 """
 
 from __future__ import annotations
@@ -104,6 +109,14 @@ _RESOURCE = r"<([^<>\s]+)>"
 # alternation per character
 _LITERAL = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _LINE_RE = re.compile(rf"^{_RESOURCE}\s+{_RESOURCE}\s+(?:{_RESOURCE}|{_LITERAL})\s*\.$")
+# the writer's line shape, tried before _LINE_RE: single spaces, and
+# resources of printable ASCII without space, '<' or '>', a range class that
+# matches faster than the Unicode class [^<>\s]. Every line it matches,
+# _LINE_RE matches with the same groups.
+_WRITTEN_RESOURCE = r"<([!-;=?-~]+)>"
+_WRITTEN_LINE = re.compile(
+    rf"{_WRITTEN_RESOURCE} {_WRITTEN_RESOURCE} (?:{_WRITTEN_RESOURCE}|{_LITERAL}) \.$"
+)
 
 
 def _unescape_literal(raw: str) -> str:
@@ -122,19 +135,26 @@ def parse_ntriples(text: str) -> TripleStore:
     duplicate statements collapse to one triple. A malformed line raises
     :class:`ParseError` carrying the 1-based line number.
     """
+    term = {}.setdefault
+    written, statement = _WRITTEN_LINE.match, _LINE_RE.match
+    new = tuple.__new__  # builds a Triple without its Python-level __new__
     triples: list[Triple] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _LINE_RE.match(line)
+        m = written(raw)
         if m is None:
-            raise ParseError(f"malformed statement: {line!r}", line_number)
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            m = statement(line)
+            if m is None:
+                raise ParseError(f"malformed statement: {line!r}", line_number)
         subject, predicate, resource_obj, literal_obj = m.groups()
         if resource_obj is not None:
-            triples.append(Triple(subject, predicate, resource_obj, False))
+            obj, is_literal = resource_obj, False
         else:
-            triples.append(Triple(subject, predicate, _unescape_literal(literal_obj), True))
+            obj, is_literal = _unescape_literal(literal_obj), True
+        triples.append(new(Triple, (term(subject, subject), term(predicate, predicate),
+                                    term(obj, obj), is_literal)))
     return TripleStore(triples)
 
 
@@ -223,25 +243,38 @@ def ingest_csv(source: str, mapping: CsvMapping) -> CsvIngestResult:
     holding whitespace, ``<`` or ``>``, or a literal cell holding a line
     break.
     """
-    reader = csv.DictReader(io.StringIO(source, newline=""))
-    header = reader.fieldnames or []
+    reader = csv.reader(io.StringIO(source, newline=""))
+    # cells are read as csv.DictReader reads them: a repeated header name
+    # reads its last column, missing cells read as empty, extra cells are
+    # ignored and blank rows skipped
+    index = {name: i for i, name in enumerate(next(reader, []))}
     needed = [mapping.subject_column] + [col for _, col in mapping.properties]
     for col in needed:
-        if col not in header:
+        if col not in index:
             raise IngestError(f"mapped column {col!r} not found in CSV header")
 
-    cells = [(p, col, col not in mapping.resource_columns) for p, col in mapping.properties]
+    term = {}.setdefault
+    subject_at = index[mapping.subject_column]
+    cells = [(term(p, p), col, index[col], col not in mapping.resource_columns)
+             for p, col in mapping.properties]
+    padding = [""] * (max(index[col] for col in needed) + 1)
+    new = tuple.__new__  # builds a Triple without its Python-level __new__
     triples: list[Triple] = []
     skipped = 0
     for row in reader:
-        subject = (row.get(mapping.subject_column) or "").strip()
+        if len(row) < len(padding):
+            if not row:
+                continue
+            row += padding[len(row):]
+        subject = row[subject_at].strip()
         if not subject:
             skipped += len(mapping.properties)
             continue
         if _NOT_IN_RESOURCE(subject):
             raise _unwritable(reader.line_num, mapping.subject_column, subject, False)
-        for predicate, column, is_literal in cells:
-            value = (row.get(column) or "").strip()
+        subject = term(subject, subject)
+        for predicate, column, at, is_literal in cells:
+            value = row[at].strip()
             if not value:
                 skipped += 1
                 continue
@@ -251,5 +284,5 @@ def ingest_csv(source: str, mapping: CsvMapping) -> CsvIngestResult:
                 unwritable = _NOT_IN_RESOURCE(value)
             if unwritable:
                 raise _unwritable(reader.line_num, column, value, is_literal)
-            triples.append(Triple(subject, predicate, value, is_literal))
+            triples.append(new(Triple, (subject, predicate, term(value, value), is_literal)))
     return CsvIngestResult(TripleStore(triples), skipped)

@@ -373,6 +373,13 @@ def test_scale_rejects_scales_that_are_not_positive_integers(tmp_path, capsys, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scales", [[True], [1.5], [2.0], [0], [1, -1], [], ["2"]])
+def test_scaling_rejects_scales_that_are_not_positive_integers(scales):
+    config = PipelineConfig(sensors=3, observations_per_sensor=4)
+    with pytest.raises(ValueError, match="^scales must be positive integers$"):
+        run_scaling(config, scales)
+
+
 def test_scaling_requires_generated_data(tmp_path):
     config = PipelineConfig(input_path=str(tmp_path / "t.nt"))
     with pytest.raises(ValueError):

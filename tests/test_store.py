@@ -5,6 +5,7 @@ import pytest
 
 import tripleshard.store as store_module
 
+from tripleshard.generator import generate_sensor_graph
 from tripleshard.store import (
     CsvMapping,
     IngestError,
@@ -108,12 +109,61 @@ def test_line_pattern_agrees_with_the_per_character_literal_pattern():
     pieces = ("<a>", "<p>", "<b c>", '"', '\\', '\\"', "\\\\", " ", "\t", ".", "x", "é", "<", ">", "\n")
     lines = ['<a> <p> "' + "".join(rng.choices(pieces, k=rng.randint(0, 8))) + '" .' for _ in range(3000)]
     lines += ["".join(rng.choices(pieces, k=rng.randint(0, 14))) for _ in range(3000)]
-    matched = 0
+    matched = written = 0
     for line in lines:
         found, expected = store_module._LINE_RE.match(line), oracle.match(line)
         assert (found and found.groups()) == (expected and expected.groups()), line
         matched += found is not None
+        # the writer-shape fast path matches a subset, with the same groups
+        fast = store_module._WRITTEN_LINE.match(line)
+        if fast is not None:
+            assert found is not None and fast.groups() == found.groups(), line
+            written += 1
     assert matched > 500
+    assert written > 500
+    # and every line the writer writes takes the fast path
+    text = serialize_ntriples(generate_sensor_graph(7, 6, 8))
+    assert len(text.splitlines()) > 200
+    assert all(store_module._WRITTEN_LINE.match(line) for line in text.splitlines())
+
+
+@pytest.mark.parametrize("line, triple", [
+    ('<s>\t<p> "x" .', Triple("s", "p", "x", True)),
+    ("<s>  <p> <o> .", Triple("s", "p", "o", False)),
+    ('<é> <p> "x" .', Triple("é", "p", "x", True)),
+    ('<s> <p> "x".', Triple("s", "p", "x", True)),
+], ids=["tab", "double-space", "non-ascii", "no-space-before-dot"])
+def test_lines_off_the_fast_path_parse_through_the_fallback(line, triple):
+    assert store_module._WRITTEN_LINE.match(line) is None
+    canonical = serialize_ntriples(TripleStore([triple]))
+    assert parse_ntriples(f"{line}\n") == parse_ntriples(canonical) == TripleStore([triple])
+
+
+def _terms_are_shared(store: TripleStore) -> bool:
+    terms = [x for t in store.triples for x in t[:3]]
+    return len({id(x) for x in terms}) == len(set(terms))
+
+
+def test_parsed_store_holds_each_distinct_term_once():
+    rng = random.Random(54)
+    store = random_store(rng, 400)
+    # a term used in two roles: an object that is also a subject and a predicate
+    text = serialize_ntriples(store) + '<p0> <s1> "s1" .\n<s1> <p0> <p0> .\n'
+    parsed = parse_ntriples(text)
+    assert parsed.n == store.n + 2
+    assert _terms_are_shared(parsed)
+    # the check has teeth: fresh copies of equal strings fail it
+    copies = TripleStore(Triple(*(x.encode().decode() for x in t[:3]), t[3])
+                         for t in parsed.triples)
+    assert copies == parsed and not _terms_are_shared(copies)
+
+
+def test_csv_store_holds_each_distinct_term_once():
+    mapping = CsvMapping("id", (("s2", "temp"), ("linksTo", "target")), frozenset({"target"}))
+    text = "id,temp,target\ns1,20,s2\ns2,20,s1\ns3,s2,s1\ns1,21,s3\n"
+    store = ingest_csv(text, mapping).store
+    assert store.n == 8
+    assert _terms_are_shared(store)
 
 
 def test_store_rejects_empty_subject_or_predicate():
@@ -281,6 +331,38 @@ def test_ingested_store_round_trips_through_the_writer():
     store = ingest_csv(text, mapping).store
     assert store.n == 4
     assert parse_ntriples(serialize_ntriples(store)) == store
+
+
+CSV_MAPPING = CsvMapping("id", (("hasTemp", "temp"), ("linksTo", "target")), frozenset({"target"}))
+
+
+@pytest.mark.parametrize("text, skipped, triples", [
+    # a repeated header name reads its last column
+    ("id,temp,target,temp\ns1,20,s2,21\ns2,,s1,22\n", 0,
+     [("s1", "hasTemp", "21", True), ("s1", "linksTo", "s2", False),
+      ("s2", "hasTemp", "22", True), ("s2", "linksTo", "s1", False)]),
+    # missing cells read as empty
+    ("id,temp,target\ns1,20\ns2\ns3,21,s1\n", 3,
+     [("s1", "hasTemp", "20", True), ("s3", "hasTemp", "21", True),
+      ("s3", "linksTo", "s1", False)]),
+    # blank rows are skipped, and count no skipped cells
+    ("id,temp,target\n\ns1,20,s2\n\n\ns2,21,s1\n", 0,
+     [("s1", "hasTemp", "20", True), ("s1", "linksTo", "s2", False),
+      ("s2", "hasTemp", "21", True), ("s2", "linksTo", "s1", False)]),
+    # extra cells are ignored
+    ("id,temp,target\ns1,20,s2,x,y\ns2,21,s1,,\n", 0,
+     [("s1", "hasTemp", "20", True), ("s1", "linksTo", "s2", False),
+      ("s2", "hasTemp", "21", True), ("s2", "linksTo", "s1", False)]),
+], ids=["repeated-header", "short-rows", "blank-rows", "extra-cells"])
+def test_ingest_reads_rows_as_a_dict_reader_does(text, skipped, triples):
+    result = ingest_csv(text, CSV_MAPPING)
+    assert result.skipped_cells == skipped
+    assert result.store.triples == tuple(Triple(*t) for t in triples)
+
+
+def test_ingest_error_after_blank_rows_names_the_rows_own_line():
+    with pytest.raises(IngestError, match="CSV line 5, column 'target'"):
+        ingest_csv("id,temp,target\ns0,1,s1\n\n\ns1,20,<s2>\n", CSV_MAPPING)
 
 
 def test_quoted_line_break_in_an_unmapped_column_keeps_rows_apart():
