@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .store import Triple, TripleStore
+from .store import Triple, TripleStore, paused_collector
 
 LINK_PREDICATE = "hasObservation"
 ADJACENT_PREDICATE = "adjacentTo"
@@ -66,36 +66,37 @@ def generate_sensor_graph(seed: int, sensors: int, observations_per_sensor: int)
     ``sensors * (1 + observations_per_sensor)`` while every observation
     contributes at least five triples.
     """
-    if sensors < 0 or observations_per_sensor < 0:
-        raise ValueError("sensor and observation counts must be non-negative")
-    rng = random.Random(seed)
-    triples: list[Triple] = []
+    with paused_collector():
+        if sensors < 0 or observations_per_sensor < 0:
+            raise ValueError("sensor and observation counts must be non-negative")
+        rng = random.Random(seed)
+        triples: list[Triple] = []
 
-    sensor_ids = [f"sensor/{i:04d}" for i in range(sensors)]
-    for i, sensor in enumerate(sensor_ids):
-        triples.append(Triple(sensor, REGION_PREDICATE, rng.choice(REGIONS), False))
-        triples.append(Triple(sensor, MODEL_PREDICATE, rng.choice(STATION_MODELS), True))
+        sensor_ids = [f"sensor/{i:04d}" for i in range(sensors)]
+        for i, sensor in enumerate(sensor_ids):
+            triples.append(Triple(sensor, REGION_PREDICATE, rng.choice(REGIONS), False))
+            triples.append(Triple(sensor, MODEL_PREDICATE, rng.choice(STATION_MODELS), True))
 
-        # adjacency: ring neighbour plus one random chord keeps every sensor
-        # reachable from any seed fragment
-        if sensors > 1:
-            neighbours = [sensor_ids[(i + 1) % sensors]]
-            others = [s for s in sensor_ids if s != sensor and s not in neighbours]
-            if others:
-                neighbours.append(rng.choice(others))
-            for other in neighbours:
-                triples.append(Triple(sensor, ADJACENT_PREDICATE, other, False))
+            # adjacency: ring neighbour plus one random chord keeps every sensor
+            # reachable from any seed fragment
+            if sensors > 1:
+                neighbours = [sensor_ids[(i + 1) % sensors]]
+                others = [s for s in sensor_ids if s != sensor and s not in neighbours]
+                if others:
+                    neighbours.append(rng.choice(others))
+                for other in neighbours:
+                    triples.append(Triple(sensor, ADJACENT_PREDICATE, other, False))
 
-        if observations_per_sensor == 0:
-            continue
-        obs_count = rng.randint((observations_per_sensor + 1) // 2, observations_per_sensor)
-        for j in range(obs_count):
-            obs = f"obs/{i:04d}/{j:05d}"
-            triples.append(Triple(sensor, LINK_PREDICATE, obs, False))
-            predicates = list(CORE_MEASUREMENTS)
-            predicates += rng.sample(EXTRA_MEASUREMENTS, rng.randint(0, 2))
-            for predicate in predicates:
-                for value in _measurement_values(rng, predicate):
-                    triples.append(Triple(obs, predicate, value, True))
+            if observations_per_sensor == 0:
+                continue
+            obs_count = rng.randint((observations_per_sensor + 1) // 2, observations_per_sensor)
+            for j in range(obs_count):
+                obs = f"obs/{i:04d}/{j:05d}"
+                triples.append(Triple(sensor, LINK_PREDICATE, obs, False))
+                predicates = list(CORE_MEASUREMENTS)
+                predicates += rng.sample(EXTRA_MEASUREMENTS, rng.randint(0, 2))
+                for predicate in predicates:
+                    for value in _measurement_values(rng, predicate):
+                        triples.append(Triple(obs, predicate, value, True))
 
-    return TripleStore(triples)
+        return TripleStore(triples)

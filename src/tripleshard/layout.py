@@ -8,7 +8,6 @@ Each stage's CPU time can be recorded with a ``StageTimer``.
 
 from __future__ import annotations
 
-import gc
 import time
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -23,7 +22,7 @@ from .replicate import (
     derive_threshold,
     replicate,
 )
-from .store import TripleStore
+from .store import TripleStore, paused_collector
 
 
 class StageTimer:
@@ -41,16 +40,13 @@ class StageTimer:
 
     @contextmanager
     def stage(self, name: str):
-        collecting = gc.isenabled()
-        gc.disable()
-        start = time.process_time()
-        try:
-            yield
-        finally:
-            elapsed = time.process_time() - start
-            if collecting:
-                gc.enable()
-            self.stages_ms[name] = self.stages_ms.get(name, 0.0) + elapsed * 1000.0
+        with paused_collector():
+            start = time.process_time()
+            try:
+                yield
+            finally:
+                elapsed = time.process_time() - start
+                self.stages_ms[name] = self.stages_ms.get(name, 0.0) + elapsed * 1000.0
 
 
 class Layout(NamedTuple):

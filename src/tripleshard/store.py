@@ -9,11 +9,20 @@ Ingest shares terms: within one ``parse_ntriples`` or ``ingest_csv`` call,
 every equal subject, predicate or object string, resource or literal, is one
 ``str`` object, so a term repeated across many triples is held once. The
 lookup table is dropped when ingest returns.
+
+The functions that build a store's triples (``parse_ntriples``,
+``ingest_csv`` and ``generator.generate_sensor_graph``) allocate no reference
+cycles: tuples of ``str`` and ``bool``, lists of ``int`` and dicts of lists.
+So they run with the cyclic garbage collector paused, which would otherwise
+re-walk every live ``Triple``, since a ``Triple`` is a tuple subclass and
+stays tracked, while freeing nothing. The pause is process-wide while a call
+runs: other threads allocate without collections until it returns.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import re
 from array import array
@@ -31,6 +40,26 @@ class ParseError(ValueError):
 
 class IngestError(ValueError):
     """Tabular input that cannot be mapped onto triples."""
+
+
+class paused_collector:
+    """Pauses the cyclic garbage collector inside a ``with`` block.
+
+    Re-entrant: on leaving, the collector is enabled again only if it was
+    enabled on entry, whether the block returns or raises. Leaving allocates
+    nothing once the collector is back on, so the young collection the pause
+    deferred runs at the caller's next allocation, not inside the block.
+    """
+
+    __slots__ = ("_collecting",)
+
+    def __enter__(self) -> None:
+        self._collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._collecting:
+            gc.enable()
 
 
 class Triple(NamedTuple):
@@ -135,27 +164,28 @@ def parse_ntriples(text: str) -> TripleStore:
     duplicate statements collapse to one triple. A malformed line raises
     :class:`ParseError` carrying the 1-based line number.
     """
-    term = {}.setdefault
-    written, statement = _WRITTEN_LINE.match, _LINE_RE.match
-    new = tuple.__new__  # builds a Triple without its Python-level __new__
-    triples: list[Triple] = []
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        m = written(raw)
-        if m is None:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            m = statement(line)
+    with paused_collector():
+        term = {}.setdefault
+        written, statement = _WRITTEN_LINE.match, _LINE_RE.match
+        new = tuple.__new__  # builds a Triple without its Python-level __new__
+        triples: list[Triple] = []
+        for line_number, raw in enumerate(text.splitlines(), start=1):
+            m = written(raw)
             if m is None:
-                raise ParseError(f"malformed statement: {line!r}", line_number)
-        subject, predicate, resource_obj, literal_obj = m.groups()
-        if resource_obj is not None:
-            obj, is_literal = resource_obj, False
-        else:
-            obj, is_literal = _unescape_literal(literal_obj), True
-        triples.append(new(Triple, (term(subject, subject), term(predicate, predicate),
-                                    term(obj, obj), is_literal)))
-    return TripleStore(triples)
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                m = statement(line)
+                if m is None:
+                    raise ParseError(f"malformed statement: {line!r}", line_number)
+            subject, predicate, resource_obj, literal_obj = m.groups()
+            if resource_obj is not None:
+                obj, is_literal = resource_obj, False
+            else:
+                obj, is_literal = _unescape_literal(literal_obj), True
+            triples.append(new(Triple, (term(subject, subject), term(predicate, predicate),
+                                        term(obj, obj), is_literal)))
+        return TripleStore(triples)
 
 
 def serialize_ntriples(store: TripleStore) -> str:
@@ -243,46 +273,47 @@ def ingest_csv(source: str, mapping: CsvMapping) -> CsvIngestResult:
     holding whitespace, ``<`` or ``>``, or a literal cell holding a line
     break.
     """
-    reader = csv.reader(io.StringIO(source, newline=""))
-    # cells are read as csv.DictReader reads them: a repeated header name
-    # reads its last column, missing cells read as empty, extra cells are
-    # ignored and blank rows skipped
-    index = {name: i for i, name in enumerate(next(reader, []))}
-    needed = [mapping.subject_column] + [col for _, col in mapping.properties]
-    for col in needed:
-        if col not in index:
-            raise IngestError(f"mapped column {col!r} not found in CSV header")
+    with paused_collector():
+        reader = csv.reader(io.StringIO(source, newline=""))
+        # cells are read as csv.DictReader reads them: a repeated header name
+        # reads its last column, missing cells read as empty, extra cells are
+        # ignored and blank rows skipped
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        needed = [mapping.subject_column] + [col for _, col in mapping.properties]
+        for col in needed:
+            if col not in index:
+                raise IngestError(f"mapped column {col!r} not found in CSV header")
 
-    term = {}.setdefault
-    subject_at = index[mapping.subject_column]
-    cells = [(term(p, p), col, index[col], col not in mapping.resource_columns)
-             for p, col in mapping.properties]
-    padding = [""] * (max(index[col] for col in needed) + 1)
-    new = tuple.__new__  # builds a Triple without its Python-level __new__
-    triples: list[Triple] = []
-    skipped = 0
-    for row in reader:
-        if len(row) < len(padding):
-            if not row:
+        term = {}.setdefault
+        subject_at = index[mapping.subject_column]
+        cells = [(term(p, p), col, index[col], col not in mapping.resource_columns)
+                 for p, col in mapping.properties]
+        padding = [""] * (max(index[col] for col in needed) + 1)
+        new = tuple.__new__  # builds a Triple without its Python-level __new__
+        triples: list[Triple] = []
+        skipped = 0
+        for row in reader:
+            if len(row) < len(padding):
+                if not row:
+                    continue
+                row += padding[len(row):]
+            subject = row[subject_at].strip()
+            if not subject:
+                skipped += len(mapping.properties)
                 continue
-            row += padding[len(row):]
-        subject = row[subject_at].strip()
-        if not subject:
-            skipped += len(mapping.properties)
-            continue
-        if _NOT_IN_RESOURCE(subject):
-            raise _unwritable(reader.line_num, mapping.subject_column, subject, False)
-        subject = term(subject, subject)
-        for predicate, column, at, is_literal in cells:
-            value = row[at].strip()
-            if not value:
-                skipped += 1
-                continue
-            if is_literal:  # a printable value holds no line break; isprintable is cheap
-                unwritable = not value.isprintable() and _LINE_BREAK(value)
-            else:
-                unwritable = _NOT_IN_RESOURCE(value)
-            if unwritable:
-                raise _unwritable(reader.line_num, column, value, is_literal)
-            triples.append(new(Triple, (subject, predicate, term(value, value), is_literal)))
-    return CsvIngestResult(TripleStore(triples), skipped)
+            if _NOT_IN_RESOURCE(subject):
+                raise _unwritable(reader.line_num, mapping.subject_column, subject, False)
+            subject = term(subject, subject)
+            for predicate, column, at, is_literal in cells:
+                value = row[at].strip()
+                if not value:
+                    skipped += 1
+                    continue
+                if is_literal:  # a printable value holds no line break; isprintable is cheap
+                    unwritable = not value.isprintable() and _LINE_BREAK(value)
+                else:
+                    unwritable = _NOT_IN_RESOURCE(value)
+                if unwritable:
+                    raise _unwritable(reader.line_num, column, value, is_literal)
+                triples.append(new(Triple, (subject, predicate, term(value, value), is_literal)))
+        return CsvIngestResult(TripleStore(triples), skipped)

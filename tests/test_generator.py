@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -28,6 +29,13 @@ def test_deterministic_for_equal_arguments():
     assert a == b
     different = serialize_ntriples(generate_sensor_graph(3, 3, 5))
     assert a != different
+
+
+def test_serialization_is_pinned_across_processes():
+    text = serialize_ntriples(generate_sensor_graph(7, 50, 60))
+    assert text.count("\n") == 15_740
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "42e6db1b561850e41efbb4dbf24284cba1a6ef4f04b090a5965c6c5f7ffd1ef9")
 
 
 def test_size_bounds_hold():

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -370,3 +371,78 @@ def test_quoted_line_break_in_an_unmapped_column_keeps_rows_apart():
     result = ingest_csv(text, MAPPING)
     assert result.store.triples == (Triple("s1", "hasTemp", "20", True),
                                     Triple("s2", "hasTemp", "21", True))
+
+
+@pytest.fixture(scope="module")
+def builder_calls():
+    """Each function that builds a store's triples, on 16k to 20k triples,
+    and a call of each that fails, with the error it raises."""
+    text = serialize_ntriples(generate_sensor_graph(1, 64, 60))
+    rows = "id,t,n\n" + "".join(f"s{i},{i % 97},s{i + 1}\n" for i in range(10_000))
+    mapping = CsvMapping("id", [("temp", "t"), ("near", "n")], ["n"])
+    return {
+        "parse_ntriples": (lambda: parse_ntriples(text), None),
+        "parse_ntriples-bad-line": (lambda: parse_ntriples(text + "<a> <p> .\n"), ParseError),
+        "ingest_csv": (lambda: ingest_csv(rows, mapping).store, None),
+        "ingest_csv-missing-column": (
+            lambda: ingest_csv(rows, CsvMapping("id", [("temp", "missing")])), IngestError),
+        "generate_sensor_graph": (lambda: generate_sensor_graph(7, 50, 60), None),
+        "generate_sensor_graph-negative": (lambda: generate_sensor_graph(7, -1, 60), ValueError),
+    }
+
+
+@pytest.fixture
+def collector_restored():
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+
+BUILDERS = ["parse_ntriples", "ingest_csv", "generate_sensor_graph"]
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builders_run_no_collection(name, builder_calls, collector_restored):
+    build, _ = builder_calls[name]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        store = build()
+    finally:
+        gc.callbacks.remove(count)
+    assert store.n > 15_000
+    assert starts == []
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("name", [
+    "parse_ntriples", "parse_ntriples-bad-line", "ingest_csv", "ingest_csv-missing-column",
+    "generate_sensor_graph", "generate_sensor_graph-negative",
+])
+def test_builders_leave_the_collector_as_they_found_it(
+        name, collecting, builder_calls, collector_restored):
+    build, error = builder_calls[name]
+    (gc.enable if collecting else gc.disable)()
+    if error is None:
+        build()
+    else:
+        with pytest.raises(error):
+            build()
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builders_leave_no_cyclic_garbage(name, builder_calls, collector_restored):
+    # what makes pausing the collector safe: a built and dropped store is
+    # freed by reference counting alone
+    build, _ = builder_calls[name]
+    gc.disable()
+    gc.collect()
+    build()
+    assert gc.collect() == 0
