@@ -88,11 +88,22 @@ class PipelineConfig:
             raise ValueError("generator counts must be non-negative")
 
 
+def _read_text(kind: str, path: str | Path) -> str:
+    """The file's text, read as UTF-8 with a leading byte-order mark dropped;
+    bytes that are not UTF-8 raise a ValueError naming the kind and path of
+    the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{kind} file {path} is not UTF-8 text: {exc}") from None
+
+
 def _read_json(kind: str, path: str, parse=json.loads):
     """``parse`` of the file's text; text that is not JSON raises a
     ValueError naming the kind and path of the file."""
+    text = _read_text(kind, path)
     try:
-        return parse(Path(path).read_text())
+        return parse(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
 
@@ -121,7 +132,7 @@ def load_store(config: PipelineConfig) -> TripleStore:
             config.seed, config.sensors, config.observations_per_sensor
         )
     path = Path(config.input_path)
-    text = path.read_text()
+    text = _read_text("input", path)
     if path.suffix.lower() == ".csv":
         if config.csv_mapping is None:
             raise ValueError(
@@ -237,14 +248,18 @@ def _write_artifacts(config: PipelineConfig, outcome: PipelineOutcome) -> str:
     data = _report_data(config, outcome)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "triples.nt").write_text(serialize_ntriples(outcome.store))
-    (out / "plan.json").write_text(outcome.layout.plan.to_json())
-    (out / "centrality.csv").write_text(centrality_csv(outcome.layout.table))
-    (out / "workload.json").write_text(workload_to_json(outcome.report.workload))
-    (out / "inc_report.csv").write_text(inc_report_csv(outcome.report))
-    (out / "report.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     text = _report_text(data, outcome)
-    (out / "report.txt").write_text(text)
+    artifacts = {
+        "triples.nt": serialize_ntriples(outcome.store),
+        "plan.json": outcome.layout.plan.to_json(),
+        "centrality.csv": centrality_csv(outcome.layout.table),
+        "workload.json": workload_to_json(outcome.report.workload),
+        "inc_report.csv": inc_report_csv(outcome.report),
+        "report.json": json.dumps(data, indent=2, sort_keys=True) + "\n",
+        "report.txt": text,
+    }
+    for name, content in artifacts.items():
+        (out / name).write_text(content, encoding="utf-8")
     return text
 
 
@@ -271,8 +286,8 @@ def run_scaling(
         raise ValueError("scaling runs require generated data, not an input file")
     if not scales or any(type(s) is not int or s < 1 for s in scales):
         raise ValueError("scales must be positive integers")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+    if type(repeats) is not int or repeats < 1:  # bool, float and str are rejected
+        raise ValueError(f"repeats must be an integer of at least 1, got {repeats!r}")
 
     rows = [{"scale": scale} for scale in scales]
     for _ in range(repeats):
@@ -305,7 +320,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     store = load_store(config)
     out = Path(args.out or "triples.nt")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(serialize_ntriples(store))
+    out.write_text(serialize_ntriples(store), encoding="utf-8")
     print(f"wrote {store.n} triples ({len(store.subject_index)} subjects) to {out}")
     return 0
 
@@ -323,7 +338,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(inc_report_csv(report))
+        out.write_text(inc_report_csv(report), encoding="utf-8")
     print(inc_report_table(report), end="")
     return 0
 
@@ -341,7 +356,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     csv_text = scale_rows_csv(rows)
     out = Path(args.out or "scale.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(csv_text)
+    out.write_text(csv_text, encoding="utf-8")
     print(csv_text, end="")
     return 0
 

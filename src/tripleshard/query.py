@@ -22,14 +22,14 @@ The distributed route compiles the query, once per call, into variable
 slots: a row is a tuple of values in slot order, every match is the tuple
 of values it binds, in slot order, and extends a row as ``row + values``; a
 binding is its row's tuple. The index entries examined are counted with one
-histogram per probe reach. Bindings are named only when iterated, which only
-``evaluate_distributed`` does.
+histogram per probe reach. The pass returns its rows with their slots, and
+bindings are named once, from them, in ``evaluate_distributed``;
+``inc_report`` prices a query without naming anything.
 
 A range scan ``?s P ?o`` builds no rows in the distributed route: its costs
 are read from a per-plan range summary of ``P``, built on the first scan of
 ``P`` and cached on the plan, with two bisects per node. Its rows are the
-triples of its in-range slice, and its bindings are named from them like any
-other query's, only when iterated; ``inc_report`` prices a query without
+triples of its in-range slice, read only when ``evaluate_distributed`` names
 them.
 
 A query is answered locally when the home node's visible triples alone
@@ -47,9 +47,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat, tee
-from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import islice
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .plan import PartitionPlan
 from .store import TripleStore
@@ -242,17 +241,6 @@ def _probe_matches(
     return candidates, [(tuple(row.values()), seen_by[pos]) for pos, row in matches]
 
 
-def _dedupe(rows: list[dict[str, str]]) -> list[dict[str, str]]:
-    seen: set[Binding] = set()
-    out = []
-    for row in rows:
-        key = tuple(sorted(row.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
-
 def _in_range(f: RangeFilter, value: str) -> bool:
     try:
         x = float(value)
@@ -291,11 +279,13 @@ def _hash_join(left: list[dict], right: list[dict]) -> list[dict]:
 
 def evaluate_centralized(store: TripleStore, q: QueryPattern) -> QueryResult:
     """Reference evaluation: full per-pattern match, then hash joins. It
-    gives bindings only; a cost comes from ``evaluate_distributed``."""
+    gives bindings only; a cost comes from ``evaluate_distributed``. A
+    literal/resource twin repeats its rows through the joins, and ``_freeze``
+    keeps one."""
     rows: list[dict[str, str]] | None = None
     for pat in q.patterns:
         _, matches = _pattern_matches(store, *pat, tuple(map(is_variable, pat)))
-        relation = _dedupe([ext for _, ext in matches])
+        relation = [row for _, row in matches]
         rows = relation if rows is None else _hash_join(rows, relation)
     return QueryResult(_freeze(_apply_range(rows or [], q)), None)
 
@@ -338,20 +328,11 @@ def _range_reach(store: TripleStore, plan: PartitionPlan, p: str) -> _RangeReach
     return summary
 
 
-def _named_bindings(slots: Mapping[str, int], rows: Iterable[tuple[str, ...]]) -> Iterator[Binding]:
-    """The bindings of the value tuples ``rows``, each listing its variables
-    by name, built as they are iterated: zipped from one ``(name, value)``
-    column per variable, with no zip per row. With no variable, each row is
-    the empty binding."""
-    names = sorted(slots)
-    columns = [zip(repeat(name), map(itemgetter(slots[name]), column))
-               for name, column in zip(names, tee(rows, len(names)))]
-    yield from zip(*columns) if names else rows
-
-
 def _propagate_eval(
     store: TripleStore, q: QueryPattern, plan: PartitionPlan
-) -> tuple[Iterable[Binding], int, Mapping[int, Counter[int]], Collection[int]]:
+) -> tuple[
+    Mapping[str, int], Iterable[Sequence[str]], int, Mapping[int, Counter[int]], Collection[int]
+]:
     """Index-nested-loop evaluation with binding propagation, cluster-wide.
 
     The query is compiled once: each variable takes the next slot when a
@@ -362,13 +343,13 @@ def _propagate_eval(
     literal/resource twin collapses.
 
     Each row carries its reach, the AND of ``seen_by`` over the positions
-    that built it: the nodes that could build it alone. Returns the bindings,
-    named as they are iterated; the nodes that could build every binding
-    alone, the AND over bindings of the OR of their rows' reach; per probe
-    reach (the OR of the reach of the rows that sent a probe), the
-    ``seen_by`` histogram of the candidates examined, one ``Counter`` over
-    all of that reach's candidates; and the ``seen_by`` masks of the matched
-    positions. Probes are memoized by their substituted terms, a free term
+    that built it: the nodes that could build it alone. Returns each
+    variable's slot and the bindings' rows, unnamed; the nodes that could
+    build every binding alone, the AND over bindings of the OR of their rows'
+    reach; per probe reach (the OR of the reach of the rows that sent a
+    probe), the ``seen_by`` histogram of the candidates examined, one
+    ``Counter`` over all of that reach's candidates; and the ``seen_by``
+    masks of the matched positions. Probes are memoized by their substituted terms, a free term
     by its name, and form, so a repeated lookup is examined, and charged,
     once, while the star legs ``(a, p, ?x)`` and ``(a, p, ?y)`` are two.
     Rows are not deduplicated between patterns: distinct triples extend a row
@@ -379,9 +360,9 @@ def _propagate_eval(
     the plan's range summary of ``P`` (``_range_reach``), tell whether that
     node could build the slice's bindings alone. Like the generic path, it
     examines, and matches, every candidate of ``P``. Its rows are the slice's
-    triples, whose subject and object fill the two variables' slots, read
-    only when its bindings are iterated, which only ``evaluate_distributed``
-    does; a literal/resource twin yields its binding twice.
+    triples, with slots 0 and 2 for the subject and object variables, read
+    only when ``evaluate_distributed`` names them; a literal/resource twin
+    yields its row twice.
     """
     f, (s, p, term) = q.range_filter, q.patterns[0]
     if f is not None and is_variable(s) and is_variable(term) and s != term and not is_variable(p):
@@ -393,8 +374,7 @@ def _propagate_eval(
             if bisect_left(blind, lo) == bisect_left(blind, hi):
                 everywhere |= 1 << node
         rows = map(store.triples.__getitem__, islice(positions, lo, hi))
-        bindings = _named_bindings({s: 0, term: 2}, rows)
-        return bindings, everywhere, {-1: summary.counts}, summary.counts.keys()
+        return {s: 0, term: 2}, rows, everywhere, {-1: summary.counts}, summary.counts.keys()
 
     seen_by = plan.seen_by
     slots: dict[str, int] = {}  # each variable's slot, in the order bound
@@ -448,14 +428,14 @@ def _propagate_eval(
         everywhere &= reach
         if not everywhere:
             break
-    return _named_bindings(slots, bindings), everywhere, counts, served
+    return slots, bindings, everywhere, counts, served
 
 
 def _evaluate(
     store: TripleStore, plan: PartitionPlan, q: QueryPattern, homes: Sequence[int]
-) -> tuple[Iterable[Binding], list[QueryOutcome]]:
-    """Cluster-wide bindings of ``q``, unbuilt for a range scan, and its cost
-    from each of ``homes``.
+) -> tuple[Mapping[str, int], Iterable[Sequence[str]], list[QueryOutcome]]:
+    """The slots and rows of ``q``'s cluster-wide bindings, as
+    ``_propagate_eval`` returns them, and its cost from each of ``homes``.
 
     A home's own pass over its visible triples is the cluster pass restricted
     to them, so it is read from the one pass: the home scans the visible
@@ -467,7 +447,7 @@ def _evaluate(
     for home in homes:  # ints only, as in the plan: bool and float are rejected too
         if type(home) is not int or not 0 <= home < plan.m:
             raise ValueError(f"home node {home!r} is not a node id in 0..{plan.m - 1}")
-    bindings, everywhere, counts, served_masks = _propagate_eval(store, q, plan)
+    slots, rows, everywhere, counts, served_masks = _propagate_eval(store, q, plan)
     outcomes = []
     for home in homes:
         bit = 1 << home
@@ -485,7 +465,7 @@ def _evaluate(
             nodes_touched = len({home if mask & bit else mask.bit_length() - 1 for mask in served_masks})
             scanned += remote
         outcomes.append(QueryOutcome(home, nodes_touched, locally_answered, scanned))
-    return bindings, outcomes
+    return slots, rows, outcomes
 
 
 def evaluate_distributed(
@@ -493,11 +473,15 @@ def evaluate_distributed(
 ) -> QueryResult:
     """Simulate evaluation routed to ``home_node`` under the given plan.
 
-    Returned bindings are always the cluster-wide (reference-equal) bindings;
-    this is the one caller of the distributed pass that builds them.
+    Returned bindings are always the cluster-wide (reference-equal) bindings,
+    named here, the one place the pass's rows are named: each row becomes
+    its variables' ``(name, value)`` pairs in name order, and with no
+    variable, the empty binding.
     """
-    bindings, (outcome,) = _evaluate(store, plan, q, (home_node,))
-    return QueryResult(frozenset(bindings), outcome)
+    slots, rows, (outcome,) = _evaluate(store, plan, q, (home_node,))
+    named = [(name, slots[name]) for name in sorted(slots)]
+    bindings = frozenset(tuple((name, row[slot]) for name, slot in named) for row in rows)
+    return QueryResult(bindings, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +704,7 @@ def inc_report(
     homes = range(plan.m) if policy == "best" else (policy,)
     return IncReport(workload, [
         min(
-            _evaluate(store, plan, q, homes)[1],
+            _evaluate(store, plan, q, homes)[2],
             key=lambda o: (o.nodes_touched, not o.locally_answered, o.home_node),
         )
         for q in workload

@@ -264,6 +264,40 @@ def test_csv_input_through_config(tmp_path):
     assert PartitionPlan.from_json((out / "plan.json").read_text()).k == 2
 
 
+@pytest.mark.parametrize("suffix, text", [
+    (".csv", "id,t,n\ns1,20,s2\ns2,30,s3\ns3,25,s1\n"),
+    (".nt", "<a> <p> <b> .\n<b> <q> \"7\" .\n<a> <q> \"3\" .\n"),
+], ids=["csv", "nt"])
+def test_an_input_with_a_byte_order_mark_reads_as_without_it(tmp_path, suffix, text):
+    config = tmp_path / "map.json"
+    config.write_text(json.dumps({"csv_mapping": {
+        "subject_column": "id", "properties": [["temp", "t"], ["near", "n"]],
+        "resource_columns": ["n"],
+    }}))
+    runs = []
+    for name, data in (("plain", text.encode()), ("marked", text.encode("utf-8-sig"))):
+        source = tmp_path / (name + suffix)
+        source.write_bytes(data)
+        assert main(["pipeline", "--config", str(config), "--input", str(source),
+                     "--k", "2", "--nodes", "2", "--out", str(tmp_path / name)]) == 0
+        runs.append([(tmp_path / name / f).read_bytes() for f in ("plan.json", "inc_report.csv")])
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("input", "--input"), ("config", "--config"), ("plan", "--plan"), ("workload", "--workload"),
+])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, kind, flag):
+    evaluate = _evaluate_args(tmp_path)
+    broken = tmp_path / f"{kind}.bin"
+    broken.write_bytes(b"<a> <p> \xff .\n")
+    capsys.readouterr()
+    assert main([*evaluate, flag, str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file {broken} is not UTF-8 text: "), err
+    assert "0xff" in err, err
+
+
 @pytest.mark.parametrize("mapping, key", [
     ({"properties": [["hasTemp", "temp"]]}, "'subject_column'"),
     ({"subject_column": 3, "properties": [["hasTemp", "temp"]]}, "'subject_column'"),
@@ -378,6 +412,13 @@ def test_scaling_rejects_scales_that_are_not_positive_integers(scales):
     config = PipelineConfig(sensors=3, observations_per_sensor=4)
     with pytest.raises(ValueError, match="^scales must be positive integers$"):
         run_scaling(config, scales)
+
+
+@pytest.mark.parametrize("repeats", [True, False, 0, -1, 2.5, 2.0, "2", None])
+def test_scaling_rejects_repeats_that_are_not_positive_integers(repeats):
+    config = PipelineConfig(sensors=3, observations_per_sensor=4)
+    with pytest.raises(ValueError, match="^repeats must be an integer of at least 1, got "):
+        run_scaling(config, [1], repeats)
 
 
 def test_scaling_requires_generated_data(tmp_path):

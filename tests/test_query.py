@@ -240,6 +240,14 @@ def test_literal_twin_chain_matches_reference():
         assert result.metrics.nodes_touched == 2
         assert result.metrics.triples_scanned == scanned
         assert result.metrics.qet_proxy == scanned + HOP_PENALTY
+    # a query with no variable names each of its rows the empty binding: the
+    # twin pair gives one, a triple the store lacks none
+    for obj, expected in (("b", {()}), ("c", set())):
+        q = QueryPattern("star", (TriplePattern("a", "p", obj),))
+        reference = evaluate_centralized(store, q).bindings
+        assert reference == expected
+        for home in range(plan.m):
+            assert evaluate_distributed(store, plan, q, home).bindings == reference
 
 
 def test_binding_with_chains_on_two_nodes_is_local_at_both():
@@ -602,6 +610,12 @@ def test_range_edge_case_bindings():
     assert rows("?v", "t", "?s", 7.0, 7.0) == [{"?s": " 7 ", "?v": "s4"}, {"?s": "7", "?v": "s7"}]
     assert rows("?x", "t", "?x", 0.0, 10.0) == [{"?x": "5"}]
     assert rows("?s", "t", "hot", 0.0, 10.0) == []
+    # a slice holding the twin (s7, t, 7) names its two rows one binding
+    q = QueryPattern("range", (TriplePattern("?s", "t", "?v"),), RangeFilter("t", 7.0, 7.0))
+    reference = evaluate_centralized(EDGE_STORE, q).bindings
+    assert reference == {(("?s", "s4"), ("?v", " 7 ")), (("?s", "s7"), ("?v", "7"))}
+    for home in range(EDGE_PLAN.m):
+        assert evaluate_distributed(EDGE_STORE, EDGE_PLAN, q, home).bindings == reference
 
 
 def _random_plan(rng, store, k, m):
