@@ -1,10 +1,11 @@
 """Command-line front end: generate, pipeline, evaluate and scale verbs.
 
-``pipeline`` builds a store's layout, answers a query workload against it and
-writes every artifact; ``evaluate`` replays a workload against its plan file,
-and ``scale`` re-runs it at growing data volumes. Configuration comes from an
-optional JSON file plus flag overrides; flags win. Repeated runs with the same
-configuration write byte-identical plan files.
+``pipeline`` builds a store's layout, answers a query workload against it,
+writes every artifact and prints the ``report.txt`` it wrote; ``evaluate``
+replays a workload against its plan file, and ``scale`` re-runs it at growing
+data volumes. Configuration comes from an optional JSON file plus flag
+overrides; flags win. Repeated runs with the same configuration write
+byte-identical plan files.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .layout import Layout, StageTimer, build_layout
 from .plan import PartitionPlan
 from .query import (
     DEFAULT_WORKLOAD_COUNTS,
+    SHAPES,
     IncReport,
     generate_workload,
     inc_report,
@@ -71,11 +73,11 @@ class PipelineConfig:
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
         counts = self.workload_counts
-        if not (isinstance(counts, (list, tuple)) and len(counts) == 4
+        if not (isinstance(counts, (list, tuple)) and len(counts) == len(SHAPES)
                 and all(type(c) is int and c >= 0 for c in counts) and any(counts)):
             raise ValueError(
-                "workload_counts must be a list of four non-negative integers, not all zero,"
-                f" got {counts!r}"
+                f"workload_counts must be a list of one non-negative integer per shape {SHAPES},"
+                f" not all zero, got {counts!r}"
             )
         object.__setattr__(self, "workload_counts", tuple(counts))
         if self.k < 1:
@@ -235,20 +237,17 @@ def _report_text(data: dict, outcome: PipelineOutcome) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to the file as UTF-8, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineOutcome:
     """Execute all stages and write every artifact into ``config.out_dir``."""
     outcome = execute_pipeline(config)
-    _write_artifacts(config, outcome)
-    return outcome
-
-
-def _write_artifacts(config: PipelineConfig, outcome: PipelineOutcome) -> str:
-    """Write every artifact of ``outcome`` into ``config.out_dir``; returns
-    the text of ``report.txt``."""
     data = _report_data(config, outcome)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    text = _report_text(data, outcome)
     artifacts = {
         "triples.nt": serialize_ntriples(outcome.store),
         "plan.json": outcome.layout.plan.to_json(),
@@ -256,11 +255,11 @@ def _write_artifacts(config: PipelineConfig, outcome: PipelineOutcome) -> str:
         "workload.json": workload_to_json(outcome.report.workload),
         "inc_report.csv": inc_report_csv(outcome.report),
         "report.json": json.dumps(data, indent=2, sort_keys=True) + "\n",
-        "report.txt": text,
+        "report.txt": _report_text(data, outcome),
     }
     for name, content in artifacts.items():
-        (out / name).write_text(content, encoding="utf-8")
-    return text
+        _write_text(Path(config.out_dir) / name, content)
+    return outcome
 
 
 SCALE_CSV_COLUMNS = {  # the scale CSV's columns, in order, with the format of their values
@@ -319,8 +318,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError("generate writes generated data; remove input_path from the config")
     store = load_store(config)
     out = Path(args.out or "triples.nt")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(serialize_ntriples(store), encoding="utf-8")
+    _write_text(out, serialize_ntriples(store))
     print(f"wrote {store.n} triples ({len(store.subject_index)} subjects) to {out}")
     return 0
 
@@ -336,16 +334,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         workload = generate_workload(store, config.seed, config.workload_counts)
     report = inc_report(store, plan, workload, policy="best" if args.home is None else args.home)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(inc_report_csv(report), encoding="utf-8")
+        _write_text(args.out, inc_report_csv(report))
     print(inc_report_table(report), end="")
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config = build_config(args)
-    print(_write_artifacts(config, execute_pipeline(config)), end="")
+    run_pipeline(config)
+    print(_read_text("report", Path(config.out_dir) / "report.txt"), end="")
     print(f"artifacts written to {config.out_dir}")
     return 0
 
@@ -354,9 +351,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     config = build_config(args)
     rows = run_scaling(config, args.scales, repeats=args.repeats)
     csv_text = scale_rows_csv(rows)
-    out = Path(args.out or "scale.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(csv_text, encoding="utf-8")
+    _write_text(args.out or "scale.csv", csv_text)
     print(csv_text, end="")
     return 0
 

@@ -147,6 +147,10 @@ _WRITTEN_LINE = re.compile(
     rf"{_WRITTEN_RESOURCE} {_WRITTEN_RESOURCE} (?:{_WRITTEN_RESOURCE}|{_LITERAL}) \.$"
 )
 
+# what a resource term cannot hold, and the line breaks str.splitlines splits on
+_NOT_IN_RESOURCE = re.compile(r"[\s<>]").search
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]").search
+
 
 def _unescape_literal(raw: str) -> str:
     return raw.replace('\\"', '"').replace("\\\\", "\\")
@@ -188,24 +192,37 @@ def parse_ntriples(text: str) -> TripleStore:
         return TripleStore(triples)
 
 
+def _unwritable(where: str, value: str, is_literal: bool, error=IngestError) -> ValueError:
+    held = ("holds a line break" if is_literal
+            else "holds whitespace, '<' or '>'" if value else "is empty")
+    return error(f"{where}: {value!r} {held}, which the triple writer cannot write")
+
+
 def serialize_ntriples(store: TripleStore) -> str:
     """Render the store back to statement lines in store order.
 
     ``parse_ntriples(serialize_ntriples(s))`` reproduces ``s`` exactly, and
-    equal stores serialize to byte-identical text.
+    equal stores serialize to byte-identical text. A term that would write a
+    line ``parse_ntriples`` rejects raises a ValueError naming the triple's
+    position and the term: a subject, predicate or resource object that is
+    empty or holds whitespace, ``<`` or ``>``, or a literal holding a line
+    break. Subjects and predicates are checked once each, from the indexes.
     """
+    for role, index in (("subject", store.subject_index), ("predicate", store.predicate_index)):
+        for term, positions in index.items():
+            if _NOT_IN_RESOURCE(term):  # the store holds no empty subject or predicate
+                raise _unwritable(f"triple {positions[0]}, {role}", term, False, ValueError)
     lines = []
-    for t in store.triples:
-        if t.object_is_literal:
-            lines.append(f'<{t.subject}> <{t.predicate}> "{_escape_literal(t.object)}" .')
+    for pos, (s, p, o, is_literal) in enumerate(store.triples):
+        if is_literal:  # a printable value holds no line break; isprintable is cheap
+            if not o.isprintable() and _LINE_BREAK(o):
+                raise _unwritable(f"triple {pos}, object", o, True, ValueError)
+            lines.append(f'<{s}> <{p}> "{_escape_literal(o)}" .')
+        elif not o or _NOT_IN_RESOURCE(o):
+            raise _unwritable(f"triple {pos}, object", o, False, ValueError)
         else:
-            lines.append(f"<{t.subject}> <{t.predicate}> <{t.object}> .")
+            lines.append(f"<{s}> <{p}> <{o}> .")
     return "".join(line + "\n" for line in lines)
-
-
-# what a resource term cannot hold, and the line breaks str.splitlines splits on
-_NOT_IN_RESOURCE = re.compile(r"[\s<>]").search
-_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]").search
 
 
 @dataclass(frozen=True)
@@ -246,14 +263,6 @@ class CsvMapping:
                 raise IngestError(
                     f"predicate {predicate!r} must be a name without whitespace, '<' or '>'"
                 )
-
-
-def _unwritable(line: int, column: str, value: str, is_literal: bool) -> IngestError:
-    held = "a line break" if is_literal else "whitespace, '<' or '>'"
-    return IngestError(
-        f"CSV line {line}, column {column!r}: {value!r} holds {held}, "
-        f"which the triple writer cannot write"
-    )
 
 
 @dataclass
@@ -302,7 +311,8 @@ def ingest_csv(source: str, mapping: CsvMapping) -> CsvIngestResult:
                 skipped += len(mapping.properties)
                 continue
             if _NOT_IN_RESOURCE(subject):
-                raise _unwritable(reader.line_num, mapping.subject_column, subject, False)
+                raise _unwritable(f"CSV line {reader.line_num}, column {mapping.subject_column!r}",
+                                  subject, False)
             subject = term(subject, subject)
             for predicate, column, at, is_literal in cells:
                 value = row[at].strip()
@@ -314,6 +324,7 @@ def ingest_csv(source: str, mapping: CsvMapping) -> CsvIngestResult:
                 else:
                     unwritable = _NOT_IN_RESOURCE(value)
                 if unwritable:
-                    raise _unwritable(reader.line_num, column, value, is_literal)
+                    raise _unwritable(f"CSV line {reader.line_num}, column {column!r}",
+                                      value, is_literal)
                 triples.append(new(Triple, (subject, predicate, term(value, value), is_literal)))
         return CsvIngestResult(TripleStore(triples), skipped)

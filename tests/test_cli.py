@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -178,6 +179,26 @@ def test_pipeline_writes_all_artifacts(tmp_path, capsys):
     assert capsys.readouterr().out == f"{text}artifacts written to {out}\n"
 
 
+def test_pipeline_prints_the_report_it_wrote(tmp_path, capsys):
+    """Standard output is ``report.txt``, read back as UTF-8, then one line
+    naming the directory."""
+    csv_file = tmp_path / "data.csv"
+    csv_file.write_text("id,t,n\nsé1,20,sé2\nsé2,30,sé3\nsé3,25,sé1\n", encoding="utf-8")
+    config = tmp_path / "map.json"
+    config.write_text(json.dumps({"csv_mapping": {
+        "subject_column": "id", "properties": [["temp", "t"], ["near", "n"]],
+        "resource_columns": ["n"],
+    }}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--input", str(csv_file),
+                 "--k", "2", "--nodes", "2", "--out", str(out)]) == 0
+    *report, last = capsys.readouterr().out.splitlines(keepends=True)
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert "sé1" in text
+    assert "".join(report) == text
+    assert last == f"artifacts written to {out}\n"
+
+
 def test_pipeline_is_deterministic_across_runs(tmp_path):
     args = ["--sensors", "10", "--observations", "8", "--k", "3", "--nodes", "3",
             "--seed", "11"]
@@ -245,6 +266,22 @@ def test_missing_input_file_fails(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "absent.nt" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_an_object_is_named(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[4]")
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: config file {config} must hold a JSON object\n"
+
+
+def test_csv_input_needs_a_csv_mapping(tmp_path, capsys):
+    csv_file = tmp_path / "data.csv"
+    csv_file.write_text("station,temp\nst1,20\n")
+    assert main(["pipeline", "--input", str(csv_file), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: CSV input {csv_file} needs a csv_mapping entry in the config file\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_csv_input_through_config(tmp_path):
@@ -467,6 +504,14 @@ def test_config_stores_workload_counts_as_a_tuple():
 def test_config_is_checked_when_replaced():
     with pytest.raises(ValueError, match="k must be at least 1"):
         replace(PipelineConfig(), k=0)
+    with pytest.raises(ValueError, match="node count must be at least 1, got 0"):
+        replace(PipelineConfig(), nodes=0)
+    for counts in ({"sensors": -1}, {"observations_per_sensor": -1}):
+        with pytest.raises(ValueError, match="generator counts must be non-negative"):
+            replace(PipelineConfig(), **counts)
+    shapes = re.escape("one non-negative integer per shape ('linear', 'star', 'range', 'snowflake')")
+    with pytest.raises(ValueError, match=f"^workload_counts must be a list of {shapes}"):
+        replace(PipelineConfig(), workload_counts=(1, 2, 3))
 
 
 @pytest.mark.parametrize("key, value", [("threshold", 1), ("threshold", None), ("k", 2)])

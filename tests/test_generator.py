@@ -23,6 +23,16 @@ def test_negative_counts_rejected():
         generate_sensor_graph(1, 10, -1)
 
 
+def test_sensors_without_observations_keep_only_their_own_triples():
+    store = generate_sensor_graph(3, 5, 0)
+    # region, model and two adjacency triples per sensor, and nothing else
+    assert sorted(store.subject_index) == [f"sensor/{i:04d}" for i in range(5)]
+    assert store.n == 5 * 4 and LINK_PREDICATE not in store.predicate_index
+    # pinned: drawing no observation count leaves the random chords as they are
+    assert hashlib.sha256(serialize_ntriples(store).encode()).hexdigest() == (
+        "eb658ec6af88ac93b1add359615cb377dd5f706a27c22d99169dd67ef69e8ae5")
+
+
 def test_deterministic_for_equal_arguments():
     a = serialize_ntriples(generate_sensor_graph(2, 3, 5))
     b = serialize_ntriples(generate_sensor_graph(2, 3, 5))

@@ -155,10 +155,12 @@ def _edited(**changes):
         (_edited(version=2, fragment_masters=["s0", "s1"]), "version"),
         (_edited(fragment_masters=["s0", "s1"]), "fragment_masters"),
         (_edited(replicatd=[1]), "replicatd"),
+        (_edited(fragment_of=5), "fragment_of must be a list, got int"),
+        (_edited(replicated=None), "plan JSON missing required field: replicated"),
     ],
     ids=["string-position", "string-fragment-id", "bool-position",
          "float-position", "duplicate-replica", "no-version", "old-format",
-         "version-2", "dropped-key", "misspelled-key"],
+         "version-2", "dropped-key", "misspelled-key", "field-not-a-list", "missing-field"],
 )
 def test_from_json_rejects_hand_edited_files(data, field):
     with pytest.raises(PlanError, match=field):

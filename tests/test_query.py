@@ -120,6 +120,18 @@ def test_validation_rejects_malformed_shapes():
         )
     with pytest.raises(ValueError):
         QueryPattern("mystery", (TriplePattern("a", "p", "?x"),))
+    with pytest.raises(ValueError, match="range filter bounds are inverted"):
+        RangeFilter("t", 2, 1)
+    with pytest.raises(ValueError, match="range queries hold exactly one pattern"):
+        QueryPattern("range", (TriplePattern("?s", "t", "?v"), TriplePattern("?s", "u", "?w")),
+                     RangeFilter("t", 0, 1))
+    with pytest.raises(ValueError, match="star queries do not take a range filter"):
+        QueryPattern("star", (TriplePattern("a", "t", "?v"),), RangeFilter("t", 0, 1))
+    with pytest.raises(ValueError, match="snowflake queries need at least two patterns on the centre"):
+        QueryPattern("snowflake", (TriplePattern("c", "p", "?x"), TriplePattern("?x", "q", "?y")))
+    with pytest.raises(ValueError, match="snowflake tail patterns must chain off an earlier object"):
+        QueryPattern("snowflake", (TriplePattern("c", "p", "?x"), TriplePattern("c", "q", "?y"),
+                                   TriplePattern("?z", "r", "?w")))
     for patterns in ((("a", "p"),), (("a", "p", "?x"),), [["a", "p", "?x"]], "a p ?x"):
         with pytest.raises(ValueError, match="patterns must be a list or tuple of TriplePatterns"):
             QueryPattern("star", patterns)

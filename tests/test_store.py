@@ -85,18 +85,19 @@ def test_literal_escaping_round_trips():
     assert parse_ntriples(serialize_ntriples(original)) == original
 
 
-@pytest.mark.xfail(
-    strict=True, raises=ParseError,
-    reason="ROADMAP known defect: serialize_ntriples writes lines parse_ntriples rejects",
-)
-@pytest.mark.parametrize("triple", [
-    Triple("a b", "p", "o"),
-    Triple("a", "p", "<o>"),
-    Triple("a", "p", "x\ny", True),
-], ids=["space-in-resource", "angle-brackets-in-resource", "newline-in-literal"])
-def test_writer_output_parses_back(triple):
-    store = TripleStore([triple])
-    assert parse_ntriples(serialize_ntriples(store)) == store
+@pytest.mark.parametrize("triple, message", [
+    (Triple("a b", "p", "o"), "triple 1, subject: 'a b' holds whitespace"),
+    (Triple("a", "p q", "o"), "triple 1, predicate: 'p q' holds whitespace"),
+    (Triple("a", "p", "<o>"), "triple 1, object: '<o>' holds whitespace, '<' or '>'"),
+    (Triple("a", "p", "x\ny", True), "triple 1, object: 'x\\ny' holds a line break"),
+    (Triple("a", "p", ""), "triple 1, object: '' is empty"),
+], ids=["space-in-resource", "space-in-predicate", "angle-brackets-in-resource",
+        "newline-in-literal", "empty-resource-object"])
+def test_writer_rejects_terms_it_cannot_write(triple, message):
+    """Each would write a line that ``parse_ntriples`` rejects."""
+    store = TripleStore([Triple("s", "v", "x\ty", True), triple])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize_ntriples(store)
 
 
 def test_line_pattern_agrees_with_the_per_character_literal_pattern():
