@@ -32,7 +32,7 @@ from .query import (
     workload_to_json,
 )
 from .replicate import _check_threshold, centrality_csv
-from .store import CsvMapping, TripleStore, ingest_csv, parse_ntriples, serialize_ntriples
+from .store import CsvMapping, TripleStore, _entries, ingest_csv, parse_ntriples, serialize_ntriples
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,10 @@ class PipelineConfig:
         ``csv_mapping`` object, as a config file holds it, becomes a
         ``CsvMapping``, which checks its values."""
         mapping = self.csv_mapping
-        if isinstance(mapping, dict):
-            unknown = sorted(set(mapping) - {"subject_column", "properties", "resource_columns"})
-            if unknown:
-                raise ValueError(f"unknown csv_mapping keys: {', '.join(map(repr, unknown))}")
-            object.__setattr__(self, "csv_mapping", CsvMapping(
-                mapping.get("subject_column"), mapping.get("properties"),
-                mapping.get("resource_columns", ()),
-            ))
-        elif mapping is not None and not isinstance(mapping, CsvMapping):
-            raise ValueError("csv_mapping must be an object with a string 'subject_column'")
+        if mapping is not None and not isinstance(mapping, CsvMapping):
+            keys = [field.name for field in fields(CsvMapping)]
+            _entries(mapping, "csv_mapping", keys, optional=("resource_columns",))
+            object.__setattr__(self, "csv_mapping", CsvMapping(**mapping))
         for name in ("sensors", "observations_per_sensor", "k", "nodes", "seed"):
             if type(getattr(self, name)) is not int:  # bool, float and str are rejected
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -113,17 +107,14 @@ def _read_json(kind: str, path: str, parse=json.loads):
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     """The config file's entries, if one is given, under the flags' values."""
     path, data = getattr(args, "config", None), {}
+    names = [field.name for field in fields(PipelineConfig)]
     if path:
         data = _read_json("config", path)
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(PipelineConfig)})
-        if unknown:
-            raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
-    for field in fields(PipelineConfig):  # flags store under the field they set; they win
-        value = getattr(args, field.name, None)
+        _entries(data, f"config file {path}", names, optional=names)
+    for name in names:  # flags store under the field they set; they win
+        value = getattr(args, name, None)
         if value is not None:
-            data[field.name] = value
+            data[name] = value
     return PipelineConfig(**data)
 
 

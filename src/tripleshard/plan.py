@@ -21,11 +21,11 @@ from itertools import cycle, islice
 from typing import Sequence
 
 from .partition import PartitionResult
-from .store import TripleStore
+from .store import TripleStore, _entries
 
 PLAN_FORMAT_VERSION = 3
 
-# the stored facts, in constructor order; also the keys of the plan file
+# the stored facts, in constructor order; with "version", the keys of the plan file
 _FIELDS = ("fragment_of", "node_of_fragment", "m", "replicated")
 _LISTS = tuple(name for name in _FIELDS if name != "m")
 
@@ -123,18 +123,13 @@ class PartitionPlan:
     @classmethod
     def from_json(cls, text: str) -> "PartitionPlan":
         data = json.loads(text)
-        if not isinstance(data, dict) or data.get("version") != PLAN_FORMAT_VERSION:
+        if isinstance(data, dict) and data.get("version") != PLAN_FORMAT_VERSION:
             raise PlanError(
                 f"plan file is not version {PLAN_FORMAT_VERSION}; regenerate it with "
                 "'tripleshard pipeline'"
             )
-        missing = [name for name in _FIELDS if name not in data]
-        if missing:
-            raise PlanError(f"plan JSON missing required field: {', '.join(missing)}")
-        unknown = sorted(set(data) - {*_FIELDS, "version"})
-        if unknown:
-            raise PlanError(f"plan JSON has unknown keys: {', '.join(unknown)}")
-        return cls(**{name: data[name] for name in _FIELDS})
+        *facts, _ = _entries(data, "plan JSON", (*_FIELDS, "version"), error=PlanError)
+        return cls(*facts)
 
     def validate(self, store: TripleStore) -> None:
         """Raise PlanError unless the plan covers as many triples as the

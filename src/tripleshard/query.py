@@ -51,7 +51,7 @@ from itertools import islice
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .plan import PartitionPlan
-from .store import TripleStore
+from .store import TripleStore, _entries
 
 SHAPES = ("linear", "star", "range", "snowflake")
 
@@ -607,25 +607,10 @@ def query_to_dict(q: QueryPattern) -> dict:
     return data
 
 
-def _entries(data: object, where: str, keys: Sequence[str], optional: str | None = None) -> list:
-    """The values of ``keys`` in the JSON object ``data``, None for an absent
-    ``optional`` key; a ValueError names ``where`` and, if ``data`` is an
-    object, the first key it lacks or every key it has beyond ``keys``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a JSON object, got {data!r}")
-    for key in keys:
-        if key not in data and key != optional:
-            raise ValueError(f"{where} has no {key!r} key")
-    unknown = [key for key in data if key not in keys]
-    if unknown:
-        raise ValueError(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
-    return [data.get(key) for key in keys]
-
-
 def query_from_dict(data: dict) -> QueryPattern:
     """A query from its JSON object; a malformed one raises ValueError
     naming the key at fault."""
-    shape, items, f = _entries(data, "query", ("type", "patterns", "filter"), optional="filter")
+    shape, items, f = _entries(data, "query", ("type", "patterns", "filter"), optional=("filter",))
     if not isinstance(items, list):
         raise ValueError(f"query 'patterns' must be a list, got {items!r}")
     patterns = tuple(

@@ -17,6 +17,10 @@ So they run with the cyclic garbage collector paused, which would otherwise
 re-walk every live ``Triple``, since a ``Triple`` is a tuple subclass and
 stays tracked, while freeing nothing. The pause is process-wide while a call
 runs: other threads allocate without collections until it returns.
+
+``_entries`` is the library's one check of a JSON object's keys, for the
+plan, config, ``csv_mapping`` and workload files alike: a value that is not
+an object, a missing key and unknown keys each raise one wording.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ import csv
 import gc
 import io
 import re
+import reprlib
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 
 class ParseError(ValueError):
@@ -40,6 +45,24 @@ class ParseError(ValueError):
 
 class IngestError(ValueError):
     """Tabular input that cannot be mapped onto triples."""
+
+
+def _entries(data: object, where: str, keys: Sequence[str], optional: Collection[str] = (),
+             error: type[ValueError] = ValueError) -> list:
+    """The values of ``keys`` in the JSON object ``data``, None for an absent
+    ``optional`` key; an ``error`` names ``where`` and, if ``data`` is an
+    object, the first key it lacks or every key it has beyond ``keys``, in
+    its own order. A value that is not an object is shown abridged, so a
+    whole file read as a list makes a short message."""
+    if not isinstance(data, dict):
+        raise error(f"{where} must be a JSON object, got {reprlib.repr(data)}")
+    for key in keys:
+        if key not in data and key not in optional:
+            raise error(f"{where} has no {key!r} key")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise error(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
+    return [data.get(key) for key in keys]
 
 
 class paused_collector:

@@ -138,6 +138,37 @@ def test_a_file_that_is_not_json_is_named(tmp_path, capsys, kind, flag):
                    "Expecting value: line 1 column 1 (char 0)\n")
 
 
+@pytest.mark.parametrize("kind, fault", [
+    (kind, fault) for kind in ("plan", "config", "csv_mapping", "query")
+    for fault in ("not-an-object", "missing-key", "unknown-keys")
+    if (kind, fault) != ("config", "missing-key")  # every config key is optional
+])
+def test_every_json_reader_words_a_faulty_object_the_same_way(tmp_path, capsys, kind, fault):
+    evaluate = _evaluate_args(tmp_path)
+    run_dir, edited = tmp_path / "run", tmp_path / "edited.json"
+    # per kind: the flag naming the file, the file's text around the object,
+    # the name errors give the object, a valid object and one of its required keys
+    flag, around, where, valid, required = {
+        "plan": ("--plan", "{}", "plan JSON",
+                 json.loads((run_dir / "plan.json").read_text()), "replicated"),
+        "config": ("--config", "{}", f"config file {edited}", {"seed": 4}, None),
+        "csv_mapping": ("--config", '{{"csv_mapping": {}}}', "csv_mapping",
+                        {"subject_column": "id", "properties": [["p", "t"]]}, "properties"),
+        "query": ("--workload", "[{}]", "query 0: query",
+                  json.loads((run_dir / "workload.json").read_text())[0], "type"),
+    }[kind]
+    value, tail = {
+        "not-an-object": (list(valid), f"must be a JSON object, got {list(valid)!r}"),
+        "missing-key": ({key: v for key, v in valid.items() if key != required},
+                        f"has no {required!r} key"),
+        "unknown-keys": ({**valid, "zeta": 1, "alpha": 2}, "has unknown keys: 'zeta', 'alpha'"),
+    }[fault]
+    edited.write_text(around.format(json.dumps(value)))
+    capsys.readouterr()
+    assert main([*evaluate, flag, str(edited)]) == 2
+    assert capsys.readouterr().err == f"error: {where} {tail}\n"
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -251,7 +282,7 @@ def test_removed_option_keys_are_unknown_config_keys(tmp_path, capsys, key):
     config.write_text(json.dumps({key: True}))
     rc = main(["pipeline", "--config", str(config), "--out", str(tmp_path / "x")])
     assert rc == 2
-    assert f"unknown config keys in {config}: {key}" in capsys.readouterr().err
+    assert f"config file {config} has unknown keys: '{key}'" in capsys.readouterr().err
 
 
 def test_invalid_threshold_fails(tmp_path, capsys):
@@ -272,7 +303,7 @@ def test_a_config_file_that_is_not_an_object_is_named(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text("[4]")
     assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err == f"error: config file {config} must hold a JSON object\n"
+    assert capsys.readouterr().err == f"error: config file {config} must be a JSON object, got [4]\n"
 
 
 def test_csv_input_needs_a_csv_mapping(tmp_path, capsys):
@@ -343,7 +374,7 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, kind, flag):
     ({"subject_column": "station", "properties": [["hasTemp"]]}, "'properties'"),
     ({"subject_column": "station", "properties": [["hasTemp", "temp", "x"]]}, "'properties'"),
     ({"subject_column": "station", "properties": [{"hasTemp": "temp"}]}, "'properties'"),
-    (["station"], "'subject_column'"),
+    (["station"], "a JSON object, got ['station']"),
     ({"subject_column": "station", "properties": [], "resource_columns": "temp"},
      "'resource_columns'"),
     ({"subject_column": "station", "properties": [], "resource_columns": [3]},

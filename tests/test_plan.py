@@ -156,11 +156,14 @@ def _edited(**changes):
         (_edited(fragment_masters=["s0", "s1"]), "fragment_masters"),
         (_edited(replicatd=[1]), "replicatd"),
         (_edited(fragment_of=5), "fragment_of must be a list, got int"),
-        (_edited(replicated=None), "plan JSON missing required field: replicated"),
+        (_edited(replicated=None), "plan JSON has no 'replicated' key"),
+        # a whole file that is not an object is shown abridged
+        (list(range(1000)), r"^plan JSON must be a JSON object, got \[0, 1, 2, 3, 4, 5, \.\.\.\]$"),
     ],
     ids=["string-position", "string-fragment-id", "bool-position",
          "float-position", "duplicate-replica", "no-version", "old-format",
-         "version-2", "dropped-key", "misspelled-key", "field-not-a-list", "missing-field"],
+         "version-2", "dropped-key", "misspelled-key", "field-not-a-list", "missing-field",
+         "not-an-object"],
 )
 def test_from_json_rejects_hand_edited_files(data, field):
     with pytest.raises(PlanError, match=field):

@@ -235,6 +235,8 @@ def test_store_deduplicates_on_construction():
     store = TripleStore([t, t, Triple("a", "p", "b", True)])
     # literal flag distinguishes otherwise equal triples
     assert store.n == 2
+    assert repr(store) == "TripleStore(n=2, subjects=1)"
+    assert store != object()  # only a store compares equal to a store
     b = Triple("b", "p", "c")
     assert TripleStore([b, t, b]).triples == (b, t)
 
