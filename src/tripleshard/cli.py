@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import statistics
 import sys
 from dataclasses import dataclass, fields, replace
@@ -59,19 +60,19 @@ class PipelineConfig:
             object.__setattr__(self, "csv_mapping", CsvMapping(**mapping))
         for name in ("sensors", "observations_per_sensor", "k", "nodes", "seed"):
             if type(getattr(self, name)) is not int:  # bool, float and str are rejected
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be an integer, got {reprlib.repr(getattr(self, name))}")
         if self.threshold is not None and type(self.threshold) not in (int, float):
-            raise ValueError(f"threshold must be a number or null, got {self.threshold!r}")
+            raise ValueError(f"threshold must be a number or null, got {reprlib.repr(self.threshold)}")
         if self.input_path is not None and not isinstance(self.input_path, str):
-            raise ValueError(f"input_path must be a path string, got {self.input_path!r}")
+            raise ValueError(f"input_path must be a path string, got {reprlib.repr(self.input_path)}")
         if not isinstance(self.out_dir, str):
-            raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
+            raise ValueError(f"out_dir must be a path string, got {reprlib.repr(self.out_dir)}")
         counts = self.workload_counts
         if not (isinstance(counts, (list, tuple)) and len(counts) == len(SHAPES)
                 and all(type(c) is int and c >= 0 for c in counts) and any(counts)):
             raise ValueError(
                 f"workload_counts must be a list of one non-negative integer per shape {SHAPES},"
-                f" not all zero, got {counts!r}"
+                f" not all zero, got {reprlib.repr(counts)}"
             )
         object.__setattr__(self, "workload_counts", tuple(counts))
         if self.k < 1:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import operator
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,26 +35,6 @@ class PlanError(ValueError):
     """A plan that violates its structural guarantees."""
 
 
-def _check(facts: dict) -> None:
-    """Raise PlanError naming the first stored fact that is malformed."""
-    for name in _LISTS:
-        if not isinstance(facts[name], (list, tuple)):
-            raise PlanError(f"{name} must be a list, got {type(facts[name]).__name__}")
-    m, replicated = facts["m"], facts["replicated"]
-    if type(m) is not int or m < 1:
-        raise PlanError(f"m must be a positive integer, got {m!r}")
-    for name, bound, source in (
-        ("fragment_of", len(facts["node_of_fragment"]), "len(node_of_fragment)"),
-        ("node_of_fragment", m, "m"),
-        ("replicated", len(facts["fragment_of"]), "len(fragment_of)"),
-    ):
-        values = facts[name]  # ints only: bool and float are rejected too
-        if values and (set(map(type, values)) != {int} or min(values) < 0 or max(values) >= bound):
-            raise PlanError(f"{name} must hold integers in 0..{bound - 1}, below {source}")
-    if not all(map(operator.lt, replicated, replicated[1:])):
-        raise PlanError("replicated must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class PartitionPlan:
     fragment_of: tuple[int, ...]  # fragment per position (length n)
@@ -62,9 +43,25 @@ class PartitionPlan:
     replicated: tuple[int, ...] = ()  # sorted positions copied to every non-owner
 
     def __post_init__(self):
-        _check({name: getattr(self, name) for name in _FIELDS})
+        """Raise PlanError naming the first stored fact that is malformed."""
         for name in _LISTS:
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise PlanError(f"{name} must be a list, got {type(value).__name__}")
+            object.__setattr__(self, name, tuple(value))
+        m, replicated = self.m, self.replicated
+        if type(m) is not int or m < 1:
+            raise PlanError(f"m must be a positive integer, got {reprlib.repr(m)}")
+        for name, bound, source in (
+            ("fragment_of", len(self.node_of_fragment), "len(node_of_fragment)"),
+            ("node_of_fragment", m, "m"),
+            ("replicated", len(self.fragment_of), "len(fragment_of)"),
+        ):
+            values = getattr(self, name)  # ints only: bool and float are rejected too
+            if values and (set(map(type, values)) != {int} or min(values) < 0 or max(values) >= bound):
+                raise PlanError(f"{name} must hold integers in 0..{bound - 1}, below {source}")
+        if not all(map(operator.lt, replicated, replicated[1:])):
+            raise PlanError("replicated must be strictly increasing")
 
     @cached_property
     def replicas(self) -> tuple[tuple[int, ...], ...]:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import reprlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -86,7 +87,7 @@ class RangeFilter:
         for key in ("low", "high"):
             value = getattr(self, key)
             if type(value) not in (int, float):  # a bool is not a bound
-                raise ValueError(f"filter {key!r} must be a number, got {value!r}")
+                raise ValueError(f"filter {key!r} must be a number, got {reprlib.repr(value)}")
             object.__setattr__(self, key, float(value))
         if math.isnan(self.low) or math.isnan(self.high):
             raise ValueError(
@@ -108,17 +109,18 @@ class QueryPattern:
 
     def __post_init__(self) -> None:
         if self.shape not in SHAPES:
-            raise ValueError(f"unknown query shape {self.shape!r}")
+            raise ValueError(f"unknown query shape {reprlib.repr(self.shape)}")
         if not self.patterns:
             raise ValueError("query must contain at least one pattern")
         patterns = self.patterns
         if not isinstance(patterns, (list, tuple)) or not all(isinstance(p, TriplePattern) for p in patterns):
-            raise ValueError(f"patterns must be a list or tuple of TriplePatterns, got {patterns!r}")
+            raise ValueError(
+                f"patterns must be a list or tuple of TriplePatterns, got {reprlib.repr(patterns)}")
         object.__setattr__(self, "patterns", tuple(patterns))
         for pat in self.patterns:
             for term in pat:
                 if not isinstance(term, str) or not term:
-                    raise ValueError(f"pattern terms must be non-empty strings, got {term!r}")
+                    raise ValueError(f"pattern terms must be non-empty strings, got {reprlib.repr(term)}")
         if self.shape == "range":
             if len(self.patterns) != 1:
                 raise ValueError("range queries hold exactly one pattern")
@@ -612,7 +614,7 @@ def query_from_dict(data: dict) -> QueryPattern:
     naming the key at fault."""
     shape, items, f = _entries(data, "query", ("type", "patterns", "filter"), optional=("filter",))
     if not isinstance(items, list):
-        raise ValueError(f"query 'patterns' must be a list, got {items!r}")
+        raise ValueError(f"query 'patterns' must be a list, got {reprlib.repr(items)}")
     patterns = tuple(
         TriplePattern(*_entries(item, f"pattern {j}", ("s", "p", "o")))
         for j, item in enumerate(items)

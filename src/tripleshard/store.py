@@ -52,8 +52,8 @@ def _entries(data: object, where: str, keys: Sequence[str], optional: Collection
     """The values of ``keys`` in the JSON object ``data``, None for an absent
     ``optional`` key; an ``error`` names ``where`` and, if ``data`` is an
     object, the first key it lacks or every key it has beyond ``keys``, in
-    its own order. A value that is not an object is shown abridged, so a
-    whole file read as a list makes a short message."""
+    its own order. Values and keys are shown abridged, so a whole file read
+    as a list, or one with many or long unknown keys, makes a short message."""
     if not isinstance(data, dict):
         raise error(f"{where} must be a JSON object, got {reprlib.repr(data)}")
     for key in keys:
@@ -61,7 +61,7 @@ def _entries(data: object, where: str, keys: Sequence[str], optional: Collection
             raise error(f"{where} has no {key!r} key")
     unknown = [key for key in data if key not in keys]
     if unknown:
-        raise error(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
+        raise error(f"{where} has unknown keys: {reprlib.repr(unknown)[1:-1]}")
     return [data.get(key) for key in keys]
 
 
@@ -175,6 +175,21 @@ _NOT_IN_RESOURCE = re.compile(r"[\s<>]").search
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]").search
 
 
+def _unwritable_reason(value: str, is_literal: bool) -> str | None:
+    """Why the triple writer cannot write the term, or None if it can: the
+    one rule for what ``serialize_ntriples``, ``ingest_csv`` and
+    ``CsvMapping`` accept, and what ``parse_ntriples`` reads back."""
+    if is_literal:
+        return "holds a line break" if _LINE_BREAK(value) else None
+    if not value:
+        return "is empty"
+    return "holds whitespace, '<' or '>'" if _NOT_IN_RESOURCE(value) else None
+
+
+def _unwritable(where: str, value: str, reason: str) -> str:
+    return f"{where}: {reprlib.repr(value)} {reason}, which the triple writer cannot write"
+
+
 def _unescape_literal(raw: str) -> str:
     return raw.replace('\\"', '"').replace("\\\\", "\\")
 
@@ -204,7 +219,7 @@ def parse_ntriples(text: str) -> TripleStore:
                     continue
                 m = statement(line)
                 if m is None:
-                    raise ParseError(f"malformed statement: {line!r}", line_number)
+                    raise ParseError(f"malformed statement: {reprlib.repr(line)}", line_number)
             subject, predicate, resource_obj, literal_obj = m.groups()
             if resource_obj is not None:
                 obj, is_literal = resource_obj, False
@@ -215,36 +230,26 @@ def parse_ntriples(text: str) -> TripleStore:
         return TripleStore(triples)
 
 
-def _unwritable(where: str, value: str, is_literal: bool, error=IngestError) -> ValueError:
-    held = ("holds a line break" if is_literal
-            else "holds whitespace, '<' or '>'" if value else "is empty")
-    return error(f"{where}: {value!r} {held}, which the triple writer cannot write")
-
-
 def serialize_ntriples(store: TripleStore) -> str:
     """Render the store back to statement lines in store order.
 
     ``parse_ntriples(serialize_ntriples(s))`` reproduces ``s`` exactly, and
     equal stores serialize to byte-identical text. A term that would write a
-    line ``parse_ntriples`` rejects raises a ValueError naming the triple's
-    position and the term: a subject, predicate or resource object that is
-    empty or holds whitespace, ``<`` or ``>``, or a literal holding a line
-    break. Subjects and predicates are checked once each, from the indexes.
+    line ``parse_ntriples`` rejects (see ``_unwritable_reason``) raises a
+    ValueError naming the triple's position, the term and the reason.
+    Subjects and predicates are checked once each, from the indexes.
     """
     for role, index in (("subject", store.subject_index), ("predicate", store.predicate_index)):
         for term, positions in index.items():
-            if _NOT_IN_RESOURCE(term):  # the store holds no empty subject or predicate
-                raise _unwritable(f"triple {positions[0]}, {role}", term, False, ValueError)
+            if reason := _unwritable_reason(term, False):
+                raise ValueError(_unwritable(f"triple {positions[0]}, {role}", term, reason))
     lines = []
     for pos, (s, p, o, is_literal) in enumerate(store.triples):
-        if is_literal:  # a printable value holds no line break; isprintable is cheap
-            if not o.isprintable() and _LINE_BREAK(o):
-                raise _unwritable(f"triple {pos}, object", o, True, ValueError)
-            lines.append(f'<{s}> <{p}> "{_escape_literal(o)}" .')
-        elif not o or _NOT_IN_RESOURCE(o):
-            raise _unwritable(f"triple {pos}, object", o, False, ValueError)
-        else:
-            lines.append(f"<{s}> <{p}> <{o}> .")
+        # a printable literal holds no line break, and isprintable is cheap
+        if not (is_literal and o.isprintable()) and (reason := _unwritable_reason(o, is_literal)):
+            raise ValueError(_unwritable(f"triple {pos}, object", o, reason))
+        lines.append(f'<{s}> <{p}> "{_escape_literal(o)}" .' if is_literal
+                     else f"<{s}> <{p}> <{o}> .")
     return "".join(line + "\n" for line in lines)
 
 
@@ -282,10 +287,8 @@ class CsvMapping:
         object.__setattr__(self, "properties", tuple(map(tuple, self.properties)))
         object.__setattr__(self, "resource_columns", frozenset(resources))
         for predicate, _ in self.properties:
-            if not predicate or _NOT_IN_RESOURCE(predicate):
-                raise IngestError(
-                    f"predicate {predicate!r} must be a name without whitespace, '<' or '>'"
-                )
+            if reason := _unwritable_reason(predicate, False):
+                raise IngestError(_unwritable("csv_mapping predicate", predicate, reason))
 
 
 @dataclass
@@ -300,10 +303,8 @@ def ingest_csv(source: str, mapping: CsvMapping) -> CsvIngestResult:
     Empty object cells are skipped and counted; a row with an empty subject
     cell skips all of its mapped cells. Quoted cells may span lines. A mapped
     column missing from the header raises :class:`IngestError` naming the
-    column. So does what ``serialize_ntriples`` could not write back, naming
-    also the CSV line on which the row ends: a subject or resource cell
-    holding whitespace, ``<`` or ``>``, or a literal cell holding a line
-    break.
+    column. So does a subject or mapped cell that ``serialize_ntriples``
+    could not write back, naming also the CSV line on which the row ends.
     """
     with paused_collector():
         reader = csv.reader(io.StringIO(source, newline=""))
@@ -314,7 +315,7 @@ def ingest_csv(source: str, mapping: CsvMapping) -> CsvIngestResult:
         needed = [mapping.subject_column] + [col for _, col in mapping.properties]
         for col in needed:
             if col not in index:
-                raise IngestError(f"mapped column {col!r} not found in CSV header")
+                raise IngestError(f"mapped column {reprlib.repr(col)} not found in CSV header")
 
         term = {}.setdefault
         subject_at = index[mapping.subject_column]
@@ -333,21 +334,19 @@ def ingest_csv(source: str, mapping: CsvMapping) -> CsvIngestResult:
             if not subject:
                 skipped += len(mapping.properties)
                 continue
-            if _NOT_IN_RESOURCE(subject):
-                raise _unwritable(f"CSV line {reader.line_num}, column {mapping.subject_column!r}",
-                                  subject, False)
+            if reason := _unwritable_reason(subject, False):
+                raise IngestError(_unwritable(
+                    f"CSV line {reader.line_num}, column {mapping.subject_column!r}", subject, reason))
             subject = term(subject, subject)
             for predicate, column, at, is_literal in cells:
                 value = row[at].strip()
                 if not value:
                     skipped += 1
                     continue
-                if is_literal:  # a printable value holds no line break; isprintable is cheap
-                    unwritable = not value.isprintable() and _LINE_BREAK(value)
-                else:
-                    unwritable = _NOT_IN_RESOURCE(value)
-                if unwritable:
-                    raise _unwritable(f"CSV line {reader.line_num}, column {column!r}",
-                                      value, is_literal)
+                # a printable literal holds no line break, and isprintable is cheap
+                if not (is_literal and value.isprintable()) and (
+                        reason := _unwritable_reason(value, is_literal)):
+                    raise IngestError(_unwritable(
+                        f"CSV line {reader.line_num}, column {column!r}", value, reason))
                 triples.append(new(Triple, (subject, predicate, term(value, value), is_literal)))
         return CsvIngestResult(TripleStore(triples), skipped)

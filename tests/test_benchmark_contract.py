@@ -64,3 +64,29 @@ def test_benchmark_layout_figures_match_build_layout(make_store, k, threshold):
         assert run.counts["partition.orphan_triples"] == ours.partition.orphan_count
         assert run.counts["replicate.replicated_triples"] == len(ours.plan.replicated)
         assert run.end_to_end["storage_amplification"] == amplification
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("make_layout", [
+    lambda store: workloads.semantic_layout(store, workloads.SENSOR_K, workloads.SENSOR_THRESHOLD),
+    workloads.round_robin_layout,
+], ids=["semantic", "round-robin"])
+def test_benchmark_query_path_runs_on_the_library(make_layout, traced):
+    """The query workloads' served loop, metrics and checks on a small store,
+    so a library change that breaks a read the benchmark makes fails here."""
+    store = _sensor_store()
+    queries = workloads.query_stream(store, 1, 1)
+    assert len(queries) == sum(workloads.BLOCK_COUNTS) == 12
+    assert {q.shape for q in queries} == {"linear", "star", "range", "snowflake"}
+    layout = make_layout(store)
+    run = workloads.Run(seed=1, seconds=1.0, scale=1.0,
+                        tracer=tracing.Tracer() if traced else None)
+    outcomes, latencies = workloads.serve(run, layout, queries, len(queries), None)
+    assert len(outcomes) == len(latencies) == len(queries)
+    workloads.query_metrics(run, queries, outcomes, latencies, len(queries))
+    workloads.layout_shape_metrics(run, layout)
+    with run.traced():
+        workloads.check_layout(run, layout)
+        workloads.check_bindings(run, layout, queries, outcomes)
+    assert run.failures == []
+    assert run.attempted == 14

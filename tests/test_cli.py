@@ -306,6 +306,31 @@ def test_a_config_file_that_is_not_an_object_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: config file {config} must be a JSON object, got [4]\n"
 
 
+def test_a_long_workload_value_makes_a_short_error_line(tmp_path, capsys):
+    evaluate = _evaluate_args(tmp_path)
+    workload = tmp_path / "workload.json"
+    workload.write_text(json.dumps([{"type": "star", "patterns": "x" * 1_000_000}]))
+    capsys.readouterr()
+    assert main([*evaluate, "--workload", str(workload)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200, err[:300]
+    assert err.startswith("error: query 0: query 'patterns' must be a list, got 'xxx"), err
+
+
+@pytest.mark.parametrize("entries, expected", [
+    ({"sensors": list(range(200_000))}, "sensors must be an integer, got [0, 1, 2, 3, 4, 5, ...]"),
+    ({"sensors": 4, "x" * 1_000_000: 1}, "has unknown keys: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ({f"k{i}": 1 for i in range(100_000)}, "has unknown keys: 'k0', 'k1', 'k2', 'k3', 'k4', 'k5', ..."),
+], ids=["long-value", "long-key", "many-keys"])
+def test_a_long_config_entry_makes_a_short_error_line(tmp_path, capsys, monkeypatch, entries, expected):
+    monkeypatch.chdir(tmp_path)  # a short path, as an unknown key's error names the file
+    Path("config.json").write_text(json.dumps(entries))
+    assert main(["pipeline", "--config", "config.json", "--out", "run"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200, err[:300]
+    assert err.startswith("error: ") and err.endswith(f"{expected}\n"), err
+
+
 def test_csv_input_needs_a_csv_mapping(tmp_path, capsys):
     csv_file = tmp_path / "data.csv"
     csv_file.write_text("station,temp\nst1,20\n")

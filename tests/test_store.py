@@ -1,6 +1,9 @@
+import csv
 import gc
+import io
 import random
 import re
+import sys
 
 import pytest
 
@@ -98,6 +101,99 @@ def test_writer_rejects_terms_it_cannot_write(triple, message):
     store = TripleStore([Triple("s", "v", "x\ty", True), triple])
     with pytest.raises(ValueError, match=re.escape(message)):
         serialize_ntriples(store)
+
+
+# every line break str.splitlines splits on, other whitespace (tab, NBSP,
+# U+3000), the characters the line grammar gives a meaning, NUL and a
+# non-ASCII letter
+_SPECIALS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\t\xa0\u3000<>\"\\\x00é"
+# the csv module reads NUL only from Python 3.11
+_CSV_SPECIALS = _SPECIALS if sys.version_info >= (3, 11) else _SPECIALS.replace("\x00", "")
+
+
+def _draw_term(rng, shortest=0, specials=_SPECIALS):
+    """Up to three plain letters with up to two specials put in anywhere."""
+    chars = rng.choices("abc", k=rng.randint(shortest, 3))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        chars.insert(rng.randint(0, len(chars)), rng.choice(specials))
+    return "".join(chars)
+
+
+def _writable(term, is_literal):
+    return store_module._unwritable_reason(term, is_literal) is None
+
+
+def _line_shape(s, p, o, is_literal):
+    if is_literal:
+        o = '"' + o.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    else:
+        o = f"<{o}>"
+    return f"<{s}> <{p}> {o} .\n"
+
+
+def _reads_back(text, store):
+    try:
+        return parse_ntriples(text) == store
+    except ParseError:
+        return False
+
+
+def test_the_writers_rule_is_the_parsers_grammar():
+    """The writer writes a store exactly when the rule accepts each of its
+    terms, and what it writes parses back equal. A term the rule rejects,
+    put in the writer's line shape all the same, does not read back."""
+    rng = random.Random(62)
+    written = refused = 0
+    for _ in range(2500):
+        store = TripleStore(
+            Triple(_draw_term(rng, 1), _draw_term(rng, 1), _draw_term(rng), rng.random() < 0.5)
+            for _ in range(rng.randint(1, 2))
+        )
+        writable = all(_writable(s, False) and _writable(p, False) and _writable(o, is_literal)
+                       for s, p, o, is_literal in store.triples)
+        text = "".join(_line_shape(*t) for t in store.triples)
+        assert _reads_back(text, store) == writable, store.triples
+        if writable:
+            assert serialize_ntriples(store) == text
+            written += 1
+        else:
+            with pytest.raises(ValueError, match="which the triple writer cannot write$"):
+                serialize_ntriples(store)
+            refused += 1
+    assert written > 300 and refused > 300
+
+
+def test_csv_ingest_takes_a_term_exactly_when_the_writer_can_write_it():
+    """Predicate names when the mapping is built, and stripped subject,
+    literal and resource cells when they are read."""
+    rng = random.Random(63)
+    for _ in range(300):
+        predicate = _draw_term(rng, specials=_CSV_SPECIALS)
+        if _writable(predicate, False):
+            CsvMapping("id", ((predicate, "lit"),))
+        else:
+            with pytest.raises(IngestError, match="^csv_mapping predicate: "):
+                CsvMapping("id", ((predicate, "lit"),))
+    mapping = CsvMapping("id", (("p", "lit"), ("q", "res")), frozenset({"res"}))
+    taken = refused = 0
+    for _ in range(600):
+        row = [_draw_term(rng, specials=_CSV_SPECIALS) for _ in range(3)]
+        text = io.StringIO()
+        csv.writer(text).writerows([("id", "lit", "res"), row])
+        subject, lit, res = cells = [cell.strip() for cell in row]
+        # an empty subject skips the row, and an empty cell is skipped
+        if not subject or all(not cell or _writable(cell, is_literal)
+                              for cell, is_literal in zip(cells, (False, True, False))):
+            store = ingest_csv(text.getvalue(), mapping).store
+            expected = [Triple(subject, "p", lit, True), Triple(subject, "q", res, False)]
+            assert store.triples == tuple(t for t in expected if subject and t.object)
+            assert parse_ntriples(serialize_ntriples(store)) == store
+            taken += 1
+        else:
+            with pytest.raises(IngestError, match="which the triple writer cannot write$"):
+                ingest_csv(text.getvalue(), mapping)
+            refused += 1
+    assert taken > 300 and refused > 100
 
 
 def test_line_pattern_agrees_with_the_per_character_literal_pattern():
@@ -315,8 +411,26 @@ def test_ingest_rejects_unwritable_predicate_names(predicate):
 
 
 def test_mapping_checks_predicate_names_when_built():
-    with pytest.raises(IngestError, match="'has temp'"):
+    with pytest.raises(IngestError) as err:
         CsvMapping("id", (("has temp", "temp"),))
+    # in the writer's and CSV ingest's wording
+    assert str(err.value) == ("csv_mapping predicate: 'has temp' holds whitespace, '<' or '>', "
+                              "which the triple writer cannot write")
+
+
+def test_a_long_value_is_abridged_in_store_errors():
+    long = "x" * 100_000
+    calls = [
+        lambda: parse_ntriples(f"<{long}> .\n"),
+        lambda: serialize_ntriples(TripleStore([Triple("s", "p", long + "\n", True)])),
+        lambda: ingest_csv(f"id,temp\n{long} y,20\n", MAPPING),
+        lambda: ingest_csv("id,temp\ns1,20\n", CsvMapping("id", (("p", long),))),
+        lambda: CsvMapping("id", ((long + " y", "t"),)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert len(str(err.value)) < 200 and "..." in str(err.value), str(err.value)[:300]
 
 
 def test_mapping_checks_and_freezes_its_fields_when_built():
