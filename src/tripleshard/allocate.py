@@ -5,6 +5,8 @@ from __future__ import annotations
 import heapq
 from typing import Sequence
 
+from .store import _integer
+
 
 def allocate(sizes: Sequence[int], m: int) -> tuple[tuple[int, ...], ...]:
     """Assign fragments (index = fragment id) to m nodes, largest first.
@@ -16,11 +18,8 @@ def allocate(sizes: Sequence[int], m: int) -> tuple[tuple[int, ...], ...]:
     the classic longest-first bound: max load minus min load never exceeds
     the largest fragment size.
     """
-    if m < 1:
-        raise ValueError(f"node count must be at least 1, got {m}")
-    for i, size in enumerate(sizes):
-        if size < 0:
-            raise ValueError(f"fragment {i} has negative size {size}")
+    _integer(m, "m", 1)
+    sizes = [_integer(size, f"sizes[{i}]", 0) for i, size in enumerate(sizes)]
 
     nodes: list[list[int]] = [[] for _ in range(m)]
     heap = [(0, i) for i in range(m)]

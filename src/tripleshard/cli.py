@@ -23,8 +23,8 @@ from .layout import Layout, StageTimer, build_layout
 from .plan import PartitionPlan
 from .query import (
     DEFAULT_WORKLOAD_COUNTS,
-    SHAPES,
     IncReport,
+    _workload_counts,
     generate_workload,
     inc_report,
     inc_report_csv,
@@ -33,7 +33,7 @@ from .query import (
     workload_to_json,
 )
 from .replicate import _check_threshold, centrality_csv
-from .store import CsvMapping, TripleStore, _entries, ingest_csv, parse_ntriples, serialize_ntriples
+from .store import CsvMapping, TripleStore, _entries, _integer, ingest_csv, parse_ntriples, serialize_ntriples
 
 
 @dataclass(frozen=True)
@@ -50,39 +50,29 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        """Check each field's type, naming its key, then its range. A
-        ``csv_mapping`` object, as a config file holds it, becomes a
-        ``CsvMapping``, which checks its values."""
+        """Check each field, naming its key. A ``csv_mapping`` object, as a
+        config file holds it, becomes a ``CsvMapping``, which checks its
+        values."""
         mapping = self.csv_mapping
         if mapping is not None and not isinstance(mapping, CsvMapping):
             keys = [field.name for field in fields(CsvMapping)]
             _entries(mapping, "csv_mapping", keys, optional=("resource_columns",))
             object.__setattr__(self, "csv_mapping", CsvMapping(**mapping))
-        for name in ("sensors", "observations_per_sensor", "k", "nodes", "seed"):
-            if type(getattr(self, name)) is not int:  # bool, float and str are rejected
-                raise ValueError(f"{name} must be an integer, got {reprlib.repr(getattr(self, name))}")
+        lows = {"sensors": 0, "observations_per_sensor": 0, "k": 1, "nodes": 1, "seed": None}
+        for name, low in lows.items():
+            _integer(getattr(self, name), name, low)
         if self.threshold is not None and type(self.threshold) not in (int, float):
             raise ValueError(f"threshold must be a number or null, got {reprlib.repr(self.threshold)}")
         if self.input_path is not None and not isinstance(self.input_path, str):
             raise ValueError(f"input_path must be a path string, got {reprlib.repr(self.input_path)}")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path string, got {reprlib.repr(self.out_dir)}")
-        counts = self.workload_counts
-        if not (isinstance(counts, (list, tuple)) and len(counts) == len(SHAPES)
-                and all(type(c) is int and c >= 0 for c in counts) and any(counts)):
-            raise ValueError(
-                f"workload_counts must be a list of one non-negative integer per shape {SHAPES},"
-                f" not all zero, got {reprlib.repr(counts)}"
-            )
-        object.__setattr__(self, "workload_counts", tuple(counts))
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.nodes < 1:
-            raise ValueError(f"node count must be at least 1, got {self.nodes}")
+        counts = _workload_counts(self.workload_counts, "workload_counts")
+        if not any(counts):
+            raise ValueError(f"workload_counts must not be all zero, got {reprlib.repr(self.workload_counts)}")
+        object.__setattr__(self, "workload_counts", counts)
         if self.threshold is not None:
             _check_threshold(self.threshold)
-        if self.sensors < 0 or self.observations_per_sensor < 0:
-            raise ValueError("generator counts must be non-negative")
 
 
 def _read_text(kind: str, path: str | Path) -> str:
@@ -260,6 +250,13 @@ SCALE_CSV_COLUMNS = {  # the scale CSV's columns, in order, with the format of t
 }
 
 
+def _check_scales(scales: object) -> list[int]:
+    """``scales`` if it is a non-empty list or tuple of integers of at least 1."""
+    if not isinstance(scales, (list, tuple)) or not scales:
+        raise ValueError(f"scales must be a non-empty list, got {reprlib.repr(scales)}")
+    return [_integer(scale, f"scales[{i}]", 1) for i, scale in enumerate(scales)]
+
+
 def run_scaling(
     config: PipelineConfig, scales: list[int], repeats: int = 1
 ) -> list[dict]:
@@ -275,12 +272,8 @@ def run_scaling(
     """
     if config.input_path is not None:
         raise ValueError("scaling runs require generated data, not an input file")
-    if not scales or any(type(s) is not int or s < 1 for s in scales):
-        raise ValueError("scales must be positive integers")
-    if type(repeats) is not int or repeats < 1:  # bool, float and str are rejected
-        raise ValueError(f"repeats must be an integer of at least 1, got {repeats!r}")
-
-    rows = [{"scale": scale} for scale in scales]
+    _integer(repeats, "repeats", 1)
+    rows = [{"scale": scale} for scale in _check_scales(scales)]
     for _ in range(repeats):
         for row in rows:
             observations = config.observations_per_sensor * row["scale"]
@@ -349,17 +342,13 @@ def cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _scales(text: str) -> list[int]:
-    """The ``--scales`` list; anything but positive integers is an argparse
-    error naming the flag."""
-    try:
-        scales = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        scales = []
-    if not scales or any(s < 1 for s in scales):
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated positive integers, got {text!r}"
-        )
-    return scales
+    """The ``--scales`` list, checked as ``run_scaling`` checks it; a bad
+    entry is an argparse error naming the flag."""
+    entries = [s.strip() for s in text.split(",") if s.strip()]
+    try:  # an entry that is not written as an integer stays a string
+        return _check_scales([int(s) if s.removeprefix("-").isdecimal() else s for s in entries])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(

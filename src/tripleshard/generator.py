@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .store import Triple, TripleStore, paused_collector
+from .store import Triple, TripleStore, _integer, paused_collector
 
 LINK_PREDICATE = "hasObservation"
 ADJACENT_PREDICATE = "adjacentTo"
@@ -67,8 +67,8 @@ def generate_sensor_graph(seed: int, sensors: int, observations_per_sensor: int)
     contributes at least five triples.
     """
     with paused_collector():
-        if sensors < 0 or observations_per_sensor < 0:
-            raise ValueError("sensor and observation counts must be non-negative")
+        _integer(sensors, "sensors", 0)
+        _integer(observations_per_sensor, "observations_per_sensor", 0)
         rng = random.Random(seed)
         triples: list[Triple] = []
 

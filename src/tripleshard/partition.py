@@ -17,13 +17,12 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .store import TripleStore
+from .store import TripleStore, _integer
 
 
 def top_subjects(store: TripleStore, k: int) -> list[str]:
     """The k most frequent subjects, ties broken by ascending subject name."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _integer(k, "k", 1)
     index = store.subject_index
     if len(index) < k:
         raise ValueError(

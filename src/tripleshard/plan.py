@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import operator
-import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +21,7 @@ from itertools import cycle, islice
 from typing import Sequence
 
 from .partition import PartitionResult
-from .store import TripleStore, _entries
+from .store import TripleStore, _entries, _integer
 
 PLAN_FORMAT_VERSION = 3
 
@@ -49,15 +48,13 @@ class PartitionPlan:
             if not isinstance(value, (list, tuple)):
                 raise PlanError(f"{name} must be a list, got {type(value).__name__}")
             object.__setattr__(self, name, tuple(value))
-        m, replicated = self.m, self.replicated
-        if type(m) is not int or m < 1:
-            raise PlanError(f"m must be a positive integer, got {reprlib.repr(m)}")
+        m, replicated = _integer(self.m, "m", 1, error=PlanError), self.replicated
         for name, bound, source in (
             ("fragment_of", len(self.node_of_fragment), "len(node_of_fragment)"),
             ("node_of_fragment", m, "m"),
             ("replicated", len(self.fragment_of), "len(fragment_of)"),
         ):
-            values = getattr(self, name)  # ints only: bool and float are rejected too
+            values = getattr(self, name)  # _integer's rule, in bulk over up to n values
             if values and (set(map(type, values)) != {int} or min(values) < 0 or max(values) >= bound):
                 raise PlanError(f"{name} must hold integers in 0..{bound - 1}, below {source}")
         if not all(map(operator.lt, replicated, replicated[1:])):
@@ -101,8 +98,7 @@ class PartitionPlan:
     def visible_positions(self, node_id: int) -> bytes:
         """Mask that is 1 at each position the node holds (owned or replica):
         test ``mask[pos]``, as ``pos in mask`` searches the byte values."""
-        if not 0 <= node_id < self.m:
-            raise ValueError(f"node {node_id} outside 0..{self.m - 1}")
+        _integer(node_id, "node_id", 0, self.m - 1)
         return bytes(mask >> node_id & 1 for mask in self.seen_by)
 
     def node_loads(self) -> list[int]:
@@ -145,9 +141,8 @@ def build_plan(
     k = len(partition.fragments)
     node_of_fragment: list[int | None] = [None] * k
     for node_id, fragment_ids in enumerate(allocation):
-        for fid in fragment_ids:
-            if type(fid) is not int or not 0 <= fid < k:
-                raise PlanError(f"node {node_id} lists fragment {fid!r}, outside 0..{k - 1}")
+        for j, fid in enumerate(fragment_ids):
+            _integer(fid, f"allocation[{node_id}][{j}]", 0, k - 1, error=PlanError)
             if node_of_fragment[fid] is not None:
                 raise PlanError(
                     f"fragment {fid} is placed twice: on node {node_of_fragment[fid]} "

@@ -52,7 +52,7 @@ from itertools import islice
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .plan import PartitionPlan
-from .store import TripleStore, _entries
+from .store import TripleStore, _entries, _integer
 
 SHAPES = ("linear", "star", "range", "snowflake")
 
@@ -436,8 +436,8 @@ def _propagate_eval(
 def _evaluate(
     store: TripleStore, plan: PartitionPlan, q: QueryPattern, homes: Sequence[int]
 ) -> tuple[Mapping[str, int], Iterable[Sequence[str]], list[QueryOutcome]]:
-    """The slots and rows of ``q``'s cluster-wide bindings, as
-    ``_propagate_eval`` returns them, and its cost from each of ``homes``.
+    """The slots and rows of ``q``'s cluster-wide bindings, as ``_propagate_eval``
+    returns them, and its cost from each of ``homes``, node ids the caller checked.
 
     A home's own pass over its visible triples is the cluster pass restricted
     to them, so it is read from the one pass: the home scans the visible
@@ -446,9 +446,6 @@ def _evaluate(
     Otherwise every node whose data served a match is counted, and the
     cluster candidates the home cannot see are added to the cost.
     """
-    for home in homes:  # ints only, as in the plan: bool and float are rejected too
-        if type(home) is not int or not 0 <= home < plan.m:
-            raise ValueError(f"home node {home!r} is not a node id in 0..{plan.m - 1}")
     slots, rows, everywhere, counts, served_masks = _propagate_eval(store, q, plan)
     outcomes = []
     for home in homes:
@@ -480,6 +477,7 @@ def evaluate_distributed(
     its variables' ``(name, value)`` pairs in name order, and with no
     variable, the empty binding.
     """
+    _integer(home_node, "home_node", 0, plan.m - 1)
     slots, rows, (outcome,) = _evaluate(store, plan, q, (home_node,))
     named = [(name, slots[name]) for name in sorted(slots)]
     bindings = frozenset(tuple((name, row[slot]) for name, slot in named) for row in rows)
@@ -490,6 +488,14 @@ def evaluate_distributed(
 # workload generation
 
 DEFAULT_WORKLOAD_COUNTS = (3, 4, 3, 2)
+
+
+def _workload_counts(counts: object, name: str) -> tuple[int, ...]:
+    """``counts`` as a tuple if it is a list or tuple of one integer of at
+    least 0 per shape, in ``SHAPES`` order, else a ValueError naming ``name``."""
+    if not isinstance(counts, (list, tuple)) or len(counts) != len(SHAPES):
+        raise ValueError(f"{name} must be a list of one entry per shape {SHAPES}, got {reprlib.repr(counts)}")
+    return tuple(_integer(c, f"{name}[{i}]", 0) for i, c in enumerate(counts))
 
 
 def generate_workload(
@@ -504,10 +510,7 @@ def generate_workload(
     """
     if store.n == 0:
         raise ValueError("cannot build a workload over an empty store")
-    if len(counts) != len(SHAPES):
-        raise ValueError(f"counts must give one entry per shape {SHAPES}")
-    if any(c < 0 for c in counts):
-        raise ValueError("workload counts must be non-negative")
+    counts = _workload_counts(counts, "counts")
 
     rng = random.Random(seed)
 
@@ -688,7 +691,7 @@ def inc_report(
     if not workload:
         raise ValueError("workload must contain at least one query")
 
-    homes = range(plan.m) if policy == "best" else (policy,)
+    homes = range(plan.m) if policy == "best" else (_integer(policy, "policy", 0, plan.m - 1),)
     return IncReport(workload, [
         min(
             _evaluate(store, plan, q, homes)[2],

@@ -21,6 +21,7 @@ runs: other threads allocate without collections until it returns.
 ``_entries`` is the library's one check of a JSON object's keys, for the
 plan, config, ``csv_mapping`` and workload files alike: a value that is not
 an object, a missing key and unknown keys each raise one wording.
+``_integer`` is its one check of a count, size or node id, however it is set.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def _entries(data: object, where: str, keys: Sequence[str], optional: Collection
     if unknown:
         raise error(f"{where} has unknown keys: {reprlib.repr(unknown)[1:-1]}")
     return [data.get(key) for key in keys]
+
+
+def _integer(value: object, name: str, low: int | None, high: int | None = None, *,
+             error: type[ValueError] = ValueError) -> int:
+    """``value`` if it is an ``int`` in ``low..high``, a None bound being no
+    bound, else an ``error`` naming ``name``, the value abridged. A ``bool``,
+    a float such as ``2.0`` and a string of digits are not integers here."""
+    if type(value) is not int or (low is not None and value < low) or (high is not None and value > high):
+        bound = "" if low is None else f" of at least {low}" if high is None else f" in {low}..{high}"
+        raise error(f"{name} must be an integer{bound}, got {reprlib.repr(value)}")
+    return value
 
 
 class paused_collector:

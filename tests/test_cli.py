@@ -118,10 +118,30 @@ def test_evaluate_rejects_an_out_of_range_home(tmp_path, capsys):
     capsys.readouterr()
     for bad in ("3", "-1"):
         assert main([*evaluate, "--home", bad]) == 2
-        assert "home node" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: policy must be an integer in 0..2, got {bad}\n"
     with pytest.raises(SystemExit) as exc:  # the home alone picks the routing
         main([*evaluate, "--policy", "fixed"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, line", [
+    (["pipeline", "--k", "0"], "k must be an integer of at least 1, got 0"),
+    (["pipeline", "--nodes", "0"], "nodes must be an integer of at least 1, got 0"),
+    (["generate", "--sensors", "-1"], "sensors must be an integer of at least 0, got -1"),
+    (["pipeline", "--config", "counts.json"], "workload_counts[1] must be an integer of at least 0, got -1"),
+    (["scale", "--repeats", "0"], "repeats must be an integer of at least 1, got 0"),
+    (["evaluate", "--home", "9"], "policy must be an integer in 0..2, got 9"),
+], ids=["pipeline-k", "pipeline-nodes", "generate-sensors", "config-workload_counts", "scale-repeats",
+        "evaluate-home"])
+def test_a_bad_integer_exits_2_in_the_one_wording(tmp_path, capsys, monkeypatch, args, line):
+    if args[0] == "evaluate":
+        args = _evaluate_args(tmp_path) + args[1:]
+    monkeypatch.chdir(tmp_path)  # outputs land here, and counts.json is read from here
+    Path("counts.json").write_text(json.dumps({"workload_counts": [1, -1, 0, 0]}))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert {path.name for path in Path().iterdir()} <= {"counts.json", "run"}  # nothing written
 
 
 @pytest.mark.parametrize("kind, flag", [
@@ -318,7 +338,8 @@ def test_a_long_workload_value_makes_a_short_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entries, expected", [
-    ({"sensors": list(range(200_000))}, "sensors must be an integer, got [0, 1, 2, 3, 4, 5, ...]"),
+    ({"sensors": list(range(200_000))},
+     "sensors must be an integer of at least 0, got [0, 1, 2, 3, 4, 5, ...]"),
     ({"sensors": 4, "x" * 1_000_000: 1}, "has unknown keys: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
     ({f"k{i}": 1 for i in range(100_000)}, "has unknown keys: 'k0', 'k1', 'k2', 'k3', 'k4', 'k5', ..."),
 ], ids=["long-value", "long-key", "many-keys"])
@@ -503,14 +524,23 @@ def test_scale_rejects_scales_that_are_not_positive_integers(tmp_path, capsys, s
 @pytest.mark.parametrize("scales", [[True], [1.5], [2.0], [0], [1, -1], [], ["2"]])
 def test_scaling_rejects_scales_that_are_not_positive_integers(scales):
     config = PipelineConfig(sensors=3, observations_per_sensor=4)
-    with pytest.raises(ValueError, match="^scales must be positive integers$"):
+    message = (f"scales[{len(scales) - 1}] must be an integer of at least 1, got {scales[-1]!r}"
+               if scales else "scales must be a non-empty list, got []")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_scaling(config, scales)
+
+
+def test_scaling_rejects_an_iterator_of_scales():
+    config = PipelineConfig(sensors=3, observations_per_sensor=4)
+    with pytest.raises(ValueError, match="^scales must be a non-empty list, got <list_iterat"):
+        run_scaling(config, iter([1, 2]))
 
 
 @pytest.mark.parametrize("repeats", [True, False, 0, -1, 2.5, 2.0, "2", None])
 def test_scaling_rejects_repeats_that_are_not_positive_integers(repeats):
     config = PipelineConfig(sensors=3, observations_per_sensor=4)
-    with pytest.raises(ValueError, match="^repeats must be an integer of at least 1, got "):
+    message = f"repeats must be an integer of at least 1, got {repeats!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_scaling(config, [1], repeats)
 
 
@@ -547,7 +577,7 @@ def test_config_values_of_the_wrong_type_name_the_key(tmp_path, capsys, key, val
     rc = main(["pipeline", "--config", str(config)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be"), err
+    assert re.match(rf"error: {key}(\[3\])? must ", err), err  # a bad entry is named by its index
     assert not (tmp_path / "run").exists()
 
 
@@ -558,16 +588,18 @@ def test_config_stores_workload_counts_as_a_tuple():
 
 
 def test_config_is_checked_when_replaced():
-    with pytest.raises(ValueError, match="k must be at least 1"):
+    with pytest.raises(ValueError, match=r"^k must be an integer of at least 1, got 0$"):
         replace(PipelineConfig(), k=0)
-    with pytest.raises(ValueError, match="node count must be at least 1, got 0"):
+    with pytest.raises(ValueError, match=r"^nodes must be an integer of at least 1, got 0$"):
         replace(PipelineConfig(), nodes=0)
-    for counts in ({"sensors": -1}, {"observations_per_sensor": -1}):
-        with pytest.raises(ValueError, match="generator counts must be non-negative"):
-            replace(PipelineConfig(), **counts)
-    shapes = re.escape("one non-negative integer per shape ('linear', 'star', 'range', 'snowflake')")
-    with pytest.raises(ValueError, match=f"^workload_counts must be a list of {shapes}"):
+    for key in ("sensors", "observations_per_sensor"):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer of at least 0, got -1$"):
+            replace(PipelineConfig(), **{key: -1})
+    shapes = re.escape("one entry per shape ('linear', 'star', 'range', 'snowflake'), got (1, 2, 3)")
+    with pytest.raises(ValueError, match=f"^workload_counts must be a list of {shapes}$"):
         replace(PipelineConfig(), workload_counts=(1, 2, 3))
+    with pytest.raises(ValueError, match=re.escape("workload_counts must not be all zero, got [0, 0, 0, 0]")):
+        replace(PipelineConfig(), workload_counts=[0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("key, value", [("threshold", 1), ("threshold", None), ("k", 2)])

@@ -90,9 +90,12 @@ def test_build_plan_rejects_unassigned_fragment():
                  id="two-nodes"),
     pytest.param(((0, 1, 1), (2,)), r"fragment 1 is placed twice: on node 0 and on node 0",
                  id="one-node-twice"),
-    pytest.param(((0, 1), (-1,)), r"node 1 lists fragment -1, outside 0\.\.2", id="negative"),
-    pytest.param(((0, 1), (3,)), r"node 1 lists fragment 3, outside 0\.\.2", id="past-the-end"),
-    pytest.param(((0, True), (2,)), r"node 0 lists fragment True, outside 0\.\.2", id="bool"),
+    pytest.param(((0, 1), (-1,)), r"^allocation\[1\]\[0\] must be an integer in 0\.\.2, got -1$",
+                 id="negative"),
+    pytest.param(((0, 1), (3,)), r"^allocation\[1\]\[0\] must be an integer in 0\.\.2, got 3$",
+                 id="past-the-end"),
+    pytest.param(((0, True), (2,)), r"^allocation\[0\]\[1\] must be an integer in 0\.\.2, got True$",
+                 id="bool"),
 ])
 def test_build_plan_rejects_a_fragment_placed_twice_or_out_of_range(allocation, message):
     store = _store()
@@ -112,7 +115,7 @@ def test_constructor_rejects_replica_past_the_store():
 
 
 def test_round_robin_plan_needs_a_node():
-    with pytest.raises(PlanError, match="m must be a positive integer"):
+    with pytest.raises(PlanError, match="^m must be an integer of at least 1, got 0$"):
         round_robin_triple_plan(_store(), 0)
 
 
