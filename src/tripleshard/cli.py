@@ -33,7 +33,8 @@ from .query import (
     workload_to_json,
 )
 from .replicate import _check_threshold, centrality_csv
-from .store import CsvMapping, TripleStore, _entries, _integer, ingest_csv, parse_ntriples, serialize_ntriples
+from .store import (CsvMapping, TripleStore, _entries, _integer, _list, ingest_csv, parse_ntriples,
+                    serialize_ntriples)
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,6 @@ class PipelineConfig:
         lows = {"sensors": 0, "observations_per_sensor": 0, "k": 1, "nodes": 1, "seed": None}
         for name, low in lows.items():
             _integer(getattr(self, name), name, low)
-        if self.threshold is not None and type(self.threshold) not in (int, float):
-            raise ValueError(f"threshold must be a number or null, got {reprlib.repr(self.threshold)}")
         if self.input_path is not None and not isinstance(self.input_path, str):
             raise ValueError(f"input_path must be a path string, got {reprlib.repr(self.input_path)}")
         if not isinstance(self.out_dir, str):
@@ -252,7 +251,7 @@ SCALE_CSV_COLUMNS = {  # the scale CSV's columns, in order, with the format of t
 
 def _check_scales(scales: object) -> list[int]:
     """``scales`` if it is a non-empty list or tuple of integers of at least 1."""
-    if not isinstance(scales, (list, tuple)) or not scales:
+    if not _list(scales, "scales"):
         raise ValueError(f"scales must be a non-empty list, got {reprlib.repr(scales)}")
     return [_integer(scale, f"scales[{i}]", 1) for i, scale in enumerate(scales)]
 

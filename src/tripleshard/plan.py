@@ -21,7 +21,7 @@ from itertools import cycle, islice
 from typing import Sequence
 
 from .partition import PartitionResult
-from .store import TripleStore, _entries, _integer
+from .store import TripleStore, _entries, _integer, _list
 
 PLAN_FORMAT_VERSION = 3
 
@@ -44,10 +44,7 @@ class PartitionPlan:
     def __post_init__(self):
         """Raise PlanError naming the first stored fact that is malformed."""
         for name in _LISTS:
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise PlanError(f"{name} must be a list, got {type(value).__name__}")
-            object.__setattr__(self, name, tuple(value))
+            object.__setattr__(self, name, _list(getattr(self, name), name, error=PlanError))
         m, replicated = _integer(self.m, "m", 1, error=PlanError), self.replicated
         for name, bound, source in (
             ("fragment_of", len(self.node_of_fragment), "len(node_of_fragment)"),
@@ -136,12 +133,12 @@ def build_plan(
 ) -> PartitionPlan:
     """Combine a partition and the fragment ids of each node (as ``allocate``
     returns them) into a plan with nothing replicated. A fragment id outside
-    the partition, or one that two nodes (or one node twice) list, raises
-    PlanError."""
+    the partition, one that two nodes (or one node twice) list, or a fragment
+    that no node lists raises PlanError."""
     k = len(partition.fragments)
     node_of_fragment: list[int | None] = [None] * k
-    for node_id, fragment_ids in enumerate(allocation):
-        for j, fid in enumerate(fragment_ids):
+    for node_id, fragment_ids in enumerate(_list(allocation, "allocation", error=PlanError)):
+        for j, fid in enumerate(_list(fragment_ids, f"allocation[{node_id}]", error=PlanError)):
             _integer(fid, f"allocation[{node_id}][{j}]", 0, k - 1, error=PlanError)
             if node_of_fragment[fid] is not None:
                 raise PlanError(
@@ -149,6 +146,8 @@ def build_plan(
                     f"and on node {node_id}"
                 )
             node_of_fragment[fid] = node_id
+    if None in node_of_fragment:
+        raise PlanError(f"fragment {node_of_fragment.index(None)} is on no node")
     return PartitionPlan(partition.fragment_of, node_of_fragment, len(allocation))
 
 

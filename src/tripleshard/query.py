@@ -41,7 +41,6 @@ cost signal, not a wall-clock estimate.
 from __future__ import annotations
 
 import json
-import math
 import random
 import reprlib
 from array import array
@@ -52,7 +51,7 @@ from itertools import islice
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .plan import PartitionPlan
-from .store import TripleStore, _entries, _integer
+from .store import TripleStore, _entries, _integer, _list, _number
 
 SHAPES = ("linear", "star", "range", "snowflake")
 
@@ -85,14 +84,7 @@ class RangeFilter:
 
     def __post_init__(self) -> None:
         for key in ("low", "high"):
-            value = getattr(self, key)
-            if type(value) not in (int, float):  # a bool is not a bound
-                raise ValueError(f"filter {key!r} must be a number, got {reprlib.repr(value)}")
-            object.__setattr__(self, key, float(value))
-        if math.isnan(self.low) or math.isnan(self.high):
-            raise ValueError(
-                f"range filter bounds must be numbers, not NaN: low={self.low}, high={self.high}"
-            )
+            object.__setattr__(self, key, float(_number(getattr(self, key), f"filter {key!r}")))
         if self.low > self.high:
             raise ValueError("range filter bounds are inverted")
 
@@ -110,17 +102,16 @@ class QueryPattern:
     def __post_init__(self) -> None:
         if self.shape not in SHAPES:
             raise ValueError(f"unknown query shape {reprlib.repr(self.shape)}")
-        if not self.patterns:
+        patterns = _list(self.patterns, "patterns")
+        if not patterns:
             raise ValueError("query must contain at least one pattern")
-        patterns = self.patterns
-        if not isinstance(patterns, (list, tuple)) or not all(isinstance(p, TriplePattern) for p in patterns):
-            raise ValueError(
-                f"patterns must be a list or tuple of TriplePatterns, got {reprlib.repr(patterns)}")
-        object.__setattr__(self, "patterns", tuple(patterns))
-        for pat in self.patterns:
+        for i, pat in enumerate(patterns):
+            if not isinstance(pat, TriplePattern):
+                raise ValueError(f"patterns[{i}] must be a TriplePattern, got {reprlib.repr(pat)}")
             for term in pat:
                 if not isinstance(term, str) or not term:
                     raise ValueError(f"pattern terms must be non-empty strings, got {reprlib.repr(term)}")
+        object.__setattr__(self, "patterns", patterns)
         if self.shape == "range":
             if len(self.patterns) != 1:
                 raise ValueError("range queries hold exactly one pattern")
@@ -493,7 +484,7 @@ DEFAULT_WORKLOAD_COUNTS = (3, 4, 3, 2)
 def _workload_counts(counts: object, name: str) -> tuple[int, ...]:
     """``counts`` as a tuple if it is a list or tuple of one integer of at
     least 0 per shape, in ``SHAPES`` order, else a ValueError naming ``name``."""
-    if not isinstance(counts, (list, tuple)) or len(counts) != len(SHAPES):
+    if len(_list(counts, name)) != len(SHAPES):
         raise ValueError(f"{name} must be a list of one entry per shape {SHAPES}, got {reprlib.repr(counts)}")
     return tuple(_integer(c, f"{name}[{i}]", 0) for i, c in enumerate(counts))
 
@@ -616,11 +607,9 @@ def query_from_dict(data: dict) -> QueryPattern:
     """A query from its JSON object; a malformed one raises ValueError
     naming the key at fault."""
     shape, items, f = _entries(data, "query", ("type", "patterns", "filter"), optional=("filter",))
-    if not isinstance(items, list):
-        raise ValueError(f"query 'patterns' must be a list, got {reprlib.repr(items)}")
     patterns = tuple(
         TriplePattern(*_entries(item, f"pattern {j}", ("s", "p", "o")))
-        for j, item in enumerate(items)
+        for j, item in enumerate(_list(items, "query 'patterns'"))
     )
     range_filter = None if f is None else RangeFilter(*_entries(f, "filter", ("predicate", "low", "high")))
     return QueryPattern(shape, patterns, range_filter)
@@ -632,11 +621,8 @@ def workload_to_json(workload: Sequence[QueryPattern]) -> str:
 
 def workload_from_json(text: str) -> list[QueryPattern]:
     """Read a workload file; a malformed query raises ValueError naming its index."""
-    items = json.loads(text)
-    if not isinstance(items, list):
-        raise ValueError("a workload file holds a JSON list of queries")
     workload = []
-    for i, item in enumerate(items):
+    for i, item in enumerate(_list(json.loads(text), "workload JSON")):
         try:
             workload.append(query_from_dict(item))
         except ValueError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from .plan import PartitionPlan
-from .store import TripleStore
+from .store import TripleStore, _number
 
 
 @dataclass
@@ -52,10 +52,8 @@ def compute_centrality(store: TripleStore) -> CentralityTable:
     })
 
 
-def _check_threshold(value: float) -> float:
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {value}")
-    return value
+def _check_threshold(value: object) -> float:
+    return _number(value, "threshold", "(0, 1]", lambda x: 0.0 < x <= 1.0)
 
 
 def derive_threshold(

@@ -21,7 +21,8 @@ runs: other threads allocate without collections until it returns.
 ``_entries`` is the library's one check of a JSON object's keys, for the
 plan, config, ``csv_mapping`` and workload files alike: a value that is not
 an object, a missing key and unknown keys each raise one wording.
-``_integer`` is its one check of a count, size or node id, however it is set.
+``_integer`` is its one check of a count, size or node id, however it is set,
+``_number`` of a real number and ``_list`` of a list.
 """
 
 from __future__ import annotations
@@ -75,6 +76,24 @@ def _integer(value: object, name: str, low: int | None, high: int | None = None,
         bound = "" if low is None else f" of at least {low}" if high is None else f" in {low}..{high}"
         raise error(f"{name} must be an integer{bound}, got {reprlib.repr(value)}")
     return value
+
+
+def _number(value: object, name: str, interval: str = "", inside=None, *,
+            error: type[ValueError] = ValueError) -> float:
+    """``value`` if it is an ``int`` or ``float`` (not a ``bool``), not NaN, and passes
+    ``inside``, the test of ``interval``, if given; else an ``error`` naming ``name``."""
+    if type(value) not in (int, float) or value != value or (inside is not None and not inside(value)):
+        within = f" in {interval}" if interval else ""
+        raise error(f"{name} must be a number{within}, got {reprlib.repr(value)}")
+    return value
+
+
+def _list(value: object, name: str, *, error: type[ValueError] = ValueError) -> tuple:
+    """``value`` as a tuple if it is a ``list`` or ``tuple`` (not a string, set or
+    iterator), else an ``error`` naming ``name``, the value abridged."""
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{name} must be a list, got {reprlib.repr(value)}")
+    return tuple(value)
 
 
 class paused_collector:
@@ -283,20 +302,18 @@ class CsvMapping:
     def __post_init__(self) -> None:
         if not isinstance(self.subject_column, str):
             raise IngestError("csv_mapping must be an object with a string 'subject_column'")
-        if not isinstance(self.properties, (list, tuple)) or not all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2
-            and all(isinstance(x, str) for x in pair)
-            for pair in self.properties
-        ):
-            raise IngestError(
-                "csv_mapping 'properties' must be a list of [predicate, column] pairs"
-            )
+        pairs = _list(self.properties, "csv_mapping 'properties'", error=IngestError)
+        for i, pair in enumerate(pairs):
+            name = f"csv_mapping 'properties'[{i}]"
+            if len(_list(pair, name, error=IngestError)) != 2 or not all(isinstance(x, str) for x in pair):
+                raise IngestError(f"{name} must be a pair of strings, got {reprlib.repr(pair)}")
         resources = self.resource_columns
         if not isinstance(resources, (list, tuple, set, frozenset)) or not all(
             isinstance(col, str) for col in resources
         ):
-            raise IngestError("csv_mapping 'resource_columns' must be a list of column names")
-        object.__setattr__(self, "properties", tuple(map(tuple, self.properties)))
+            raise IngestError("csv_mapping 'resource_columns' must be a list of column names, "
+                              f"got {reprlib.repr(resources)}")
+        object.__setattr__(self, "properties", tuple(map(tuple, pairs)))
         object.__setattr__(self, "resource_columns", frozenset(resources))
         for predicate, _ in self.properties:
             if reason := _unwritable_reason(predicate, False):

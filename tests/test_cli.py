@@ -144,6 +144,24 @@ def test_a_bad_integer_exits_2_in_the_one_wording(tmp_path, capsys, monkeypatch,
     assert {path.name for path in Path().iterdir()} <= {"counts.json", "run"}  # nothing written
 
 
+@pytest.mark.parametrize("args, line", [
+    (["pipeline", "--threshold", "0"], "threshold must be a number in (0, 1], got 0.0"),
+    (["pipeline", "--config", "threshold.json"], "threshold must be a number in (0, 1], got True"),
+    (["evaluate", "--workload", "workload.json", "--out", "inc.csv"], "workload JSON must be a list, got {}"),
+], ids=["pipeline-threshold", "config-threshold", "evaluate-workload"])
+def test_a_bad_number_or_list_exits_2_in_the_one_wording(tmp_path, capsys, monkeypatch, args, line):
+    if args[0] == "evaluate":
+        args = _evaluate_args(tmp_path) + args[1:]
+    monkeypatch.chdir(tmp_path)  # outputs land here, and the JSON files are read from here
+    inputs = {"threshold.json": json.dumps({"threshold": True}), "workload.json": "{}"}
+    for name, text in inputs.items():
+        Path(name).write_text(text)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert {path.name for path in Path().iterdir()} <= {*inputs, "run"}  # nothing written
+
+
 @pytest.mark.parametrize("kind, flag", [
     ("config", "--config"), ("plan", "--plan"), ("workload", "--workload"),
 ])
@@ -532,7 +550,7 @@ def test_scaling_rejects_scales_that_are_not_positive_integers(scales):
 
 def test_scaling_rejects_an_iterator_of_scales():
     config = PipelineConfig(sensors=3, observations_per_sensor=4)
-    with pytest.raises(ValueError, match="^scales must be a non-empty list, got <list_iterat"):
+    with pytest.raises(ValueError, match="^scales must be a list, got <list_iterat"):
         run_scaling(config, iter([1, 2]))
 
 

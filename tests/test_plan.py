@@ -81,8 +81,9 @@ def test_validate_rejects_unassigned_fragment():
 def test_build_plan_rejects_unassigned_fragment():
     store = _store()
     partition = grow_fragments(store, top_subjects(store, 3))
-    with pytest.raises(PlanError, match="node_of_fragment"):
-        build_plan(partition, ((0,), (1,)))  # fragment 2 is on no node
+    for allocation, fragment in (((0,), (1,)), 2), (((0, 1),), 2), ((), 0):
+        with pytest.raises(PlanError, match=f"^fragment {fragment} is on no node$"):
+            build_plan(partition, allocation)
 
 
 @pytest.mark.parametrize("allocation, message", [
@@ -158,7 +159,7 @@ def _edited(**changes):
         (_edited(version=2, fragment_masters=["s0", "s1"]), "version"),
         (_edited(fragment_masters=["s0", "s1"]), "fragment_masters"),
         (_edited(replicatd=[1]), "replicatd"),
-        (_edited(fragment_of=5), "fragment_of must be a list, got int"),
+        (_edited(fragment_of=5), "^fragment_of must be a list, got 5$"),
         (_edited(replicated=None), "plan JSON has no 'replicated' key"),
         # a whole file that is not an object is shown abridged
         (list(range(1000)), r"^plan JSON must be a JSON object, got \[0, 1, 2, 3, 4, 5, \.\.\.\]$"),

@@ -132,8 +132,16 @@ def test_validation_rejects_malformed_shapes():
     with pytest.raises(ValueError, match="snowflake tail patterns must chain off an earlier object"):
         QueryPattern("snowflake", (TriplePattern("c", "p", "?x"), TriplePattern("c", "q", "?y"),
                                    TriplePattern("?z", "r", "?w")))
-    for patterns in ((("a", "p"),), (("a", "p", "?x"),), [["a", "p", "?x"]], "a p ?x"):
-        with pytest.raises(ValueError, match="patterns must be a list or tuple of TriplePatterns"):
+    leg = TriplePattern("a", "p", "?x")
+    for patterns, message in (
+        ((("a", "p"),), "patterns[0] must be a TriplePattern, got ('a', 'p')"),
+        ((("a", "p", "?x"),), "patterns[0] must be a TriplePattern, got ('a', 'p', '?x')"),
+        ([["a", "p", "?x"]], "patterns[0] must be a TriplePattern, got ['a', 'p', '?x']"),
+        ((leg, ("a", "q", "?y")), "patterns[1] must be a TriplePattern, got ('a', 'q', '?y')"),
+        ("a p ?x", "patterns must be a list, got 'a p ?x'"),
+        (leg, "patterns[0] must be a TriplePattern, got 'a'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             QueryPattern("star", patterns)
 
 
@@ -147,16 +155,17 @@ def test_query_stores_its_patterns_as_a_tuple():
 
 @pytest.mark.parametrize("low, high", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
 def test_nan_range_bounds_are_rejected(low, high):
-    with pytest.raises(ValueError, match="range filter bounds must be numbers, not NaN"):
+    message = f"filter {'low' if math.isnan(low) else 'high'!r} must be a number, got nan"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         QueryPattern("range", (TriplePattern("?s", "t", "?v"),), RangeFilter("t", low, high))
     data = {
         "type": "range",
         "patterns": [{"s": "?s", "p": "t", "o": "?v"}],
         "filter": {"predicate": "t", "low": low, "high": high},
     }
-    with pytest.raises(ValueError, match="not NaN"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         query_from_dict(data)
-    with pytest.raises(ValueError, match="not NaN"):
+    with pytest.raises(ValueError, match=f"^query 0: {message}$"):
         workload_from_json(json.dumps([data]))
 
 
@@ -172,7 +181,7 @@ STAR = {"type": "star", "patterns": [{"s": "a", "p": "p", "o": "?x"}]}
 @pytest.mark.parametrize("entry, message", [
     ({"patterns": STAR["patterns"]}, "query has no 'type' key"),
     ({"type": "star"}, "query has no 'patterns' key"),
-    ({"type": "star", "patterns": {"s": "a"}}, "query 'patterns' must be a list"),
+    ({"type": "star", "patterns": {"s": "a"}}, "query 'patterns' must be a list, got {'s': 'a'}"),
     ({"type": "star", "patterns": [{"s": "a", "p": "p"}]}, "pattern 0 has no 'o' key"),
     ({"type": "star", "patterns": [["a", "p", "?x"]]}, "pattern 0 must be a JSON object"),
     ({"type": "star", "patterns": [{"s": 5, "p": "p", "o": "?x"}]},
@@ -196,7 +205,8 @@ def test_malformed_workload_entry_names_its_index_and_key(entry, message):
 
 
 def test_workload_file_must_hold_a_list():
-    with pytest.raises(ValueError, match="JSON list of queries"):
+    message = "workload JSON must be a list, got {'patterns': [{'o': '?x', 'p': 'p', 's': 'a'}], 'type': 'star'}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         workload_from_json(json.dumps(STAR))
 
 
