@@ -4,9 +4,9 @@ Partitioning happens in two steps. First the k highest out-degree subjects
 are selected as fragment masters. Then every fragment starts from its
 master's subject group and grows by repeatedly pulling in whole subject
 groups that the fragment already points at: a pending group scores, against
-each fragment, the number of times its subject occurs as a resource object
-inside that fragment, and joins the best-scoring fragment. Groups that never
-score anywhere fall back to the currently smallest fragment.
+each fragment, the number of the fragment's subject links
+(``TripleStore.subject_links``) into it, and joins the best-scoring fragment.
+Groups that never score anywhere fall back to the currently smallest fragment.
 
 Moving whole subject groups keeps the subject-cohesion guarantee: all triples
 sharing a subject always land in the same fragment.
@@ -46,9 +46,9 @@ def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
     """Grow one fragment per master until every triple is placed.
 
     Growth runs in rounds over the pending subject groups (first-appearance
-    order). A group joins the fragment holding the most references to its
-    subject, ties to the lowest fragment id, and the group's own references
-    are counted immediately so later groups see the new members. Rounds repeat
+    order). A group joins the fragment with the most ``TripleStore.subject_links``
+    into it, ties to the lowest fragment id, and the group's own links are
+    counted immediately so later groups see the new members. Rounds repeat
     until a full pass assigns nothing. Remaining groups are orphans: each is
     assigned, in order, to the smallest fragment at that moment.
     """
@@ -60,27 +60,27 @@ def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
         if m not in store.subject_index:
             raise ValueError(f"master subject {m!r} has no triples in the store")
 
-    triples = store.triples
+    triples, links = store.triples, store.subject_links()
     fragment_of = [0] * store.n
     sizes = [0] * len(masters)
     master_set = set(masters)
     pending: dict[str, list[int]] = {
         s: ps for s, ps in store.subject_index.items() if s not in master_set
     }
-    # per pending subject: resource objects naming it, counted per fragment
+    # per pending subject: the absorbed links into it, counted per fragment
     references: dict[str, dict[int, int]] = {}
 
-    def absorb(fid: int, positions) -> None:
+    def absorb(fid: int, subject: str, positions) -> None:
         sizes[fid] += len(positions)
         for pos in positions:
             fragment_of[pos] = fid
-            t = triples[pos]
-            if not t.object_is_literal and t.object in pending:
-                counts = references.setdefault(t.object, {})
+        for pos in links.get(subject, ()):
+            if (obj := triples[pos].object) in pending:
+                counts = references.setdefault(obj, {})
                 counts[fid] = counts.get(fid, 0) + 1
 
     for fid, master in enumerate(masters):
-        absorb(fid, store.subject_index[master])
+        absorb(fid, master, store.subject_index[master])
 
     progressed = True
     while pending and progressed:
@@ -89,13 +89,12 @@ def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
             counts = references.pop(subject, None)
             if counts is not None:
                 best = min(counts, key=lambda fid: (-counts[fid], fid))
-                absorb(best, pending.pop(subject))
+                absorb(best, subject, pending.pop(subject))
                 progressed = True
 
-    orphan_count = 0
-    for group in pending.values():
-        orphan_count += len(group)
-        absorb(min(range(len(sizes)), key=sizes.__getitem__), group)
+    orphan_count = store.n - sum(sizes)  # the triples growth left unplaced
+    for subject, group in pending.items():
+        absorb(min(range(len(sizes)), key=sizes.__getitem__), subject, group)
 
     fragments = tuple(map(Fragment, masters, sizes))
     return PartitionResult(fragments, tuple(fragment_of), orphan_count)

@@ -112,6 +112,8 @@ class QueryPattern:
                 if not isinstance(term, str) or not term:
                     raise ValueError(f"pattern terms must be non-empty strings, got {reprlib.repr(term)}")
         object.__setattr__(self, "patterns", patterns)
+        if self.range_filter is not None and not isinstance(self.range_filter, RangeFilter):
+            raise ValueError(f"range_filter must be a RangeFilter or None, got {reprlib.repr(self.range_filter)}")
         if self.shape == "range":
             if len(self.patterns) != 1:
                 raise ValueError("range queries hold exactly one pattern")
@@ -497,7 +499,8 @@ def generate_workload(
     ``counts`` gives how many linear, star, range, and snowflake queries to
     build, in that order. Constants are drawn from the data so queries are
     non-empty wherever the store's structure allows it; shapes degrade to
-    their minimal valid form on stores lacking the needed structure.
+    their minimal valid form on stores lacking the needed structure. Linear
+    and snowflake queries follow a link from ``TripleStore.subject_links``.
     """
     if store.n == 0:
         raise ValueError("cannot build a workload over an empty store")
@@ -505,22 +508,12 @@ def generate_workload(
 
     rng = random.Random(seed)
 
-    # one pass: each subject's distinct predicates in first-seen order, and
-    # its links, the triples whose object heads another subject's group
-    triples, subject_index = store.triples, store.subject_index
-    predicates: dict[str, tuple[str, ...]] = {}
-    link_roots: dict[str, list[tuple[str, str]]] = {}
-    for s, positions in subject_index.items():
-        seen: dict[str, None] = {}
-        for pos in positions:
-            _, p, o, literal = triples[pos]
-            seen[p] = None
-            if not literal and o != s and o in subject_index:
-                link_roots.setdefault(s, []).append((p, o))
-        predicates[s] = tuple(seen)
-    linear_roots = list(link_roots)
+    triples, links = store.triples, store.subject_links()
+    predicates = {s: tuple(dict.fromkeys([triples[pos].predicate for pos in positions]))
+                  for s, positions in store.subject_index.items()}
+    linear_roots = list(links)
     star_centres = [s for s, ps in predicates.items() if len(ps) >= 2]
-    snowflake_roots = [s for s in link_roots if len(predicates[s]) >= 2]
+    snowflake_roots = [s for s in links if len(predicates[s]) >= 2]
     range_bounds: list[tuple[str, float, float]] = []  # (predicate, quartiles) by name
     if counts[2]:  # only range queries read them
         for predicate in sorted(store.predicate_index):
@@ -534,7 +527,7 @@ def generate_workload(
     def make_linear() -> QueryPattern:
         if linear_roots:
             root = rng.choice(linear_roots)
-            predicate, obj = rng.choice(link_roots[root])
+            _, predicate, obj, _ = triples[rng.choice(links[root])]
             second = rng.choice(predicates[obj])
             patterns = (
                 TriplePattern(root, predicate, "?h1"),
@@ -568,7 +561,7 @@ def generate_workload(
     def make_snowflake() -> QueryPattern:
         if snowflake_roots:
             root = rng.choice(snowflake_roots)
-            link_pred, obj = rng.choice(link_roots[root])
+            _, link_pred, obj, _ = triples[rng.choice(links[root])]
             # one of the root's other predicates (it has two or more), by index
             options = predicates[root]
             i = rng.randrange(len(options) - 1)

@@ -174,6 +174,18 @@ class TripleStore:
             )
         return index
 
+    def subject_links(self) -> dict[str, list[int]]:
+        """Per subject with a link, in ``subject_index`` order, the ascending
+        positions of its triples whose object is a resource, not the subject
+        itself, heading a subject group. Built on every call, not cached."""
+        triples, index = self.triples, self.subject_index
+        links: dict[str, list[int]] = {}
+        for s, positions in index.items():
+            if linked := [pos for pos in positions if not (t := triples[pos]).object_is_literal
+                          and t.object != s and t.object in index]:
+                links[s] = linked
+        return links
+
     @property
     def n(self) -> int:
         return len(self.triples)
@@ -301,7 +313,8 @@ class CsvMapping:
 
     def __post_init__(self) -> None:
         if not isinstance(self.subject_column, str):
-            raise IngestError("csv_mapping must be an object with a string 'subject_column'")
+            raise IngestError("csv_mapping 'subject_column' must be a string, "
+                              f"got {reprlib.repr(self.subject_column)}")
         pairs = _list(self.properties, "csv_mapping 'properties'", error=IngestError)
         for i, pair in enumerate(pairs):
             name = f"csv_mapping 'properties'[{i}]"

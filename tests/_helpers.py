@@ -115,6 +115,26 @@ def brute_force_fragments(
     return fragment_of, [len(positions) for positions in members], orphans
 
 
+def brute_force_subject_links(store: TripleStore) -> dict[str, list[int]]:
+    """Reference links: subjects in order of their first triple, each with
+    the positions, scanned in order, of its triples whose object is a
+    resource naming another subject. Subjects with no link are left out."""
+    subjects: list[str] = []
+    for t in store.triples:
+        if t.subject not in subjects:
+            subjects.append(t.subject)
+    links = {}
+    for subject in subjects:
+        positions = [
+            pos for pos, t in enumerate(store.triples)
+            if t.subject == subject and not t.object_is_literal
+            and t.object != subject and t.object in subjects
+        ]
+        if positions:
+            links[subject] = positions
+    return links
+
+
 def brute_force_centrality(store: TripleStore) -> dict[str, tuple[float, int, int]]:
     acc: dict[str, tuple[set, int]] = {}
     for t in store.triples:

@@ -48,8 +48,8 @@ def _subject_rows_csv(store: TripleStore) -> tuple[str, CsvMapping]:
 
 def test_ingest_and_layout_work_grows_linearly_with_the_triples():
     """The O(n) claim counted, not timed: per-triple bytecode counts of
-    ingest, layout and the layout stages whose Python work scales with the
-    data stay flat from 1x to 5x data.
+    ingest, layout, the layout stages whose Python work scales with the
+    data and the subject-link pass stay flat from 1x to 5x data.
 
     Ingest is counted on three inputs: the writer's text, which takes the
     line fast path; the same text with tabs between terms, which takes the
@@ -73,6 +73,7 @@ def test_ingest_and_layout_work_grows_linearly_with_the_triples():
             ("ingest_csv", ingest_csv, table, mapping),
             ("layout", build_layout, store, 5, 3),
             ("top_subjects", top_subjects, store, 5),
+            ("subject_links", TripleStore.subject_links, store),
             ("grow_fragments", grow_fragments, store, masters),
             ("compute_centrality", compute_centrality, store),
         ):

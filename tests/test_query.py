@@ -112,6 +112,10 @@ def test_validation_rejects_malformed_shapes():
         )
     with pytest.raises(ValueError):
         QueryPattern("range", (TriplePattern("?s", "t", "?v"),))
+    for bad_filter, shown in ((5, "5"), ({"predicate": "t"}, "{'predicate': 't'}")):
+        message = f"range_filter must be a RangeFilter or None, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QueryPattern("range", (TriplePattern("?s", "t", "?v"),), bad_filter)
     with pytest.raises(ValueError):
         QueryPattern(
             "range",

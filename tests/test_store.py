@@ -10,6 +10,7 @@ import pytest
 import tripleshard.store as store_module
 
 from tripleshard.generator import generate_sensor_graph
+from tripleshard.partition import grow_fragments
 from tripleshard.store import (
     CsvMapping,
     IngestError,
@@ -21,7 +22,7 @@ from tripleshard.store import (
     serialize_ntriples,
 )
 
-from _helpers import random_store
+from _helpers import brute_force_fragments, brute_force_subject_links, random_store
 
 
 def test_parse_single_resource_statement():
@@ -326,6 +327,39 @@ def test_numeric_index_sorts_numbers_by_value_then_position():
             assert list(zip(values, positions)) == sorted(expected)
 
 
+def _assert_links_match_the_oracle(store: TripleStore) -> None:
+    links, expected = store.subject_links(), brute_force_subject_links(store)
+    assert list(links) == list(expected), (
+        "subjects must come in subject_index order, not in the order of their first link: "
+        f"{list(links)[:8]} != {list(expected)[:8]}"
+    )
+    for subject, positions in links.items():
+        assert positions == sorted(positions), f"{subject!r}'s link positions do not ascend"
+    assert links == expected
+
+
+def test_subject_links_match_a_naive_oracle():
+    store = TripleStore([
+        Triple("m", "p", "m"),  # a self-link
+        Triple("b", "q", "m"),  # a link into the master's group, ahead of m's first link
+        Triple("m", "label", "b", True),  # a literal whose text names a subject
+        Triple("m", "p", "nowhere"),  # a resource that names no subject
+        Triple("m", "p", "b"),
+        Triple("c", "p", "b", True),  # a literal/resource twin
+        Triple("c", "p", "b"),
+        Triple("m", "q", "c"),
+    ])
+    assert store.subject_links() == {"m": [4, 7], "b": [1], "c": [6]}
+    _assert_links_match_the_oracle(store)
+    # and growth over these links matches the brute-force partition
+    partition = grow_fragments(store, ["m", "c"])
+    assert (list(partition.fragment_of), [f.size for f in partition.fragments],
+            partition.orphan_count) == brute_force_fragments(store, ["m", "c"])
+    rng = random.Random(31)
+    for _ in range(20):
+        _assert_links_match_the_oracle(random_store(rng, rng.randint(20, 600)))
+
+
 def test_store_deduplicates_on_construction():
     t = Triple("a", "p", "b")
     store = TripleStore([t, t, Triple("a", "p", "b", True)])
@@ -434,7 +468,7 @@ def test_a_long_value_is_abridged_in_store_errors():
 
 
 def test_mapping_checks_and_freezes_its_fields_when_built():
-    with pytest.raises(IngestError, match="subject_column"):
+    with pytest.raises(IngestError, match=r"^csv_mapping 'subject_column' must be a string, got 5$"):
         CsvMapping(5, (("p", "c"),))
     listed = CsvMapping("id", [["p", "c"]], ["c"])
     frozen = CsvMapping("id", (("p", "c"),), frozenset({"c"}))
