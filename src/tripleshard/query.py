@@ -4,11 +4,12 @@ Two deliberately independent evaluation routes exist. The centralized route
 matches every pattern against the whole store and hash-joins the match
 relations on their shared variables; it is the correctness reference. The
 distributed route simulates execution over a deployment plan with
-index-nested-loop propagation, once per query over the whole cluster; each
-candidate home node's figures are read from that one pass, because the home's
-own pass over its visible triples (owned plus replicas) is the cluster pass
-restricted to them. Bindings from the distributed route always equal the
-centralized reference because every triple is owned somewhere.
+index-nested-loop propagation, in one function, ``_evaluate``: it runs one
+pass per query over the whole cluster and prices every candidate home node
+from it, because the home's own pass over its visible triples (owned plus
+replicas) is the cluster pass restricted to them. Bindings from the
+distributed route always equal the centralized reference because every
+triple is owned somewhere.
 
 The two routes also match patterns separately. The reference runs the generic
 matcher, which tests every term of every candidate triple. The distributed
@@ -22,9 +23,9 @@ The distributed route compiles the query, once per call, into variable
 slots: a row is a tuple of values in slot order, every match is the tuple
 of values it binds, in slot order, and extends a row as ``row + values``; a
 binding is its row's tuple. The index entries examined are counted with one
-histogram per probe reach. The pass returns its rows with their slots, and
-bindings are named once, from them, in ``evaluate_distributed``;
-``inc_report`` prices a query without naming anything.
+histogram per probe reach. ``_evaluate`` returns the rows with their slots
+and the homes' outcomes; bindings are named once, from the rows, in
+``evaluate_distributed``, and ``inc_report`` reads the outcomes alone.
 
 A range scan ``?s P ?o`` builds no rows in the distributed route: its costs
 are read from a per-plan range summary of ``P``, built on the first scan of
@@ -48,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .plan import PartitionPlan
 from .store import TripleStore, _entries, _integer, _list, _number
@@ -323,32 +324,32 @@ def _range_reach(store: TripleStore, plan: PartitionPlan, p: str) -> _RangeReach
     return summary
 
 
-def _propagate_eval(
-    store: TripleStore, q: QueryPattern, plan: PartitionPlan
-) -> tuple[
-    Mapping[str, int], Iterable[Sequence[str]], int, Mapping[int, Counter[int]], Collection[int]
-]:
-    """Index-nested-loop evaluation with binding propagation, cluster-wide.
+def _evaluate(
+    store: TripleStore, plan: PartitionPlan, q: QueryPattern, homes: Sequence[int]
+) -> tuple[Mapping[str, int], Iterable[Sequence[str]], list[QueryOutcome]]:
+    """One cluster-wide pass of ``q``: each variable's slot, the bindings'
+    rows, unnamed, and the query's cost from each of ``homes``, node ids the
+    caller checked.
 
-    The query is compiled once: each variable takes the next slot when a
-    pattern first binds it, and each term of a pattern is read once as a
-    constant, a bound slot or free. A row is the tuple of its slots' values,
-    and a match extends it as ``row + values``, the values the match binds in
-    slot order; rows with equal tuples are one binding, which is how a
-    literal/resource twin collapses.
+    The pass is an index-nested-loop evaluation with binding propagation. The
+    query is compiled once: each variable takes the next slot when a pattern
+    first binds it, and each term of a pattern is read once as a constant, a
+    bound slot or free. A row is the tuple of its slots' values, and a match
+    extends it as ``row + values``, the values the match binds in slot order;
+    rows with equal tuples are one binding, which is how a literal/resource
+    twin collapses. Probes are memoized by their substituted terms, a free
+    term by its name, and form, so a repeated lookup is examined, and
+    charged, once, while the star legs ``(a, p, ?x)`` and ``(a, p, ?y)`` are
+    two. Rows are not deduplicated between patterns: distinct triples extend
+    a row distinctly.
 
     Each row carries its reach, the AND of ``seen_by`` over the positions
-    that built it: the nodes that could build it alone. Returns each
-    variable's slot and the bindings' rows, unnamed; the nodes that could
-    build every binding alone, the AND over bindings of the OR of their rows'
-    reach; per probe reach (the OR of the reach of the rows that sent a
-    probe), the ``seen_by`` histogram of the candidates examined, one
-    ``Counter`` over all of that reach's candidates; and the ``seen_by``
-    masks of the matched positions. Probes are memoized by their substituted terms, a free term
-    by its name, and form, so a repeated lookup is examined, and charged,
-    once, while the star legs ``(a, p, ?x)`` and ``(a, p, ?y)`` are two.
-    Rows are not deduplicated between patterns: distinct triples extend a row
-    distinctly.
+    that built it: the nodes that could build it alone. The pass leaves three
+    figures: ``everywhere``, the nodes that could build every binding alone,
+    the AND over bindings of the OR of their rows' reach; ``counts``, per
+    probe reach (the OR of the reach of the rows that sent a probe), the
+    ``seen_by`` histogram of the candidates examined; and ``served``, the
+    ``seen_by`` masks of the matched positions.
 
     A range scan ``?s P ?o`` builds no rows. Two bisects find the in-range
     slice of the store's numeric index of ``P``, and two more per node, into
@@ -358,6 +359,13 @@ def _propagate_eval(
     triples, with slots 0 and 2 for the subject and object variables, read
     only when ``evaluate_distributed`` names them; a literal/resource twin
     yields its row twice.
+
+    A home's own pass over its visible triples is the cluster pass restricted
+    to them, so each home is priced from the one pass: the home scans the
+    visible candidates of the probes sent by rows within its reach. When
+    every binding has such a row the query is local and costs that scan
+    alone. Otherwise every node whose data served a match is counted, and the
+    cluster candidates the home cannot see are added to the cost.
     """
     f, (s, p, term) = q.range_filter, q.patterns[0]
     if f is not None and is_variable(s) and is_variable(term) and s != term and not is_variable(p):
@@ -368,78 +376,64 @@ def _propagate_eval(
         for node, blind in enumerate(summary.blind):
             if bisect_left(blind, lo) == bisect_left(blind, hi):
                 everywhere |= 1 << node
+        slots = {s: 0, term: 2}
         rows = map(store.triples.__getitem__, islice(positions, lo, hi))
-        return {s: 0, term: 2}, rows, everywhere, {-1: summary.counts}, summary.counts.keys()
-
-    seen_by = plan.seen_by
-    slots: dict[str, int] = {}  # each variable's slot, in the order bound
-    rows: list[tuple[tuple[str, ...], int]] = [((), -1)]  # all bits set: every node starts
-    probes: dict[tuple, list] = {}  # [candidates, matches, reach]
-    for s, p, o in q.patterns:
-        # each term read once: a bound slot, or else a constant or free (a
-        # variable, is_variable inlined on this hot path, not yet bound); a
-        # free term keys its probe by its text
-        rs, rp, ro = slots.get(s), slots.get(p), slots.get(o)
-        free = (s[0] == "?" and rs is None, p[0] == "?" and rp is None, o[0] == "?" and ro is None)
-        if free == (False, False, True):  # the probe form binds its object alone
-            slots[o] = len(slots)
-        else:
-            for name, var in zip((s, p, o), free):
-                if var and name not in slots:
-                    slots[name] = len(slots)
-        next_rows: list[tuple[tuple[str, ...], int]] = []
-        append = next_rows.append
+        # one probe, sent from every node, examines and matches every candidate
+        counts, served = {-1: summary.counts}, summary.counts
+    else:
+        seen_by = plan.seen_by
+        slots = {}  # each variable's slot, in the order bound
+        rows = [((), -1)]  # all bits set: every node starts
+        probes: dict[tuple, list] = {}  # [candidates, matches, reach]
+        for s, p, o in q.patterns:
+            # each term read once: a bound slot, or else a constant or free (a
+            # variable, is_variable inlined on this hot path, not yet bound); a
+            # free term keys its probe by its text
+            rs, rp, ro = slots.get(s), slots.get(p), slots.get(o)
+            free = (s[0] == "?" and rs is None, p[0] == "?" and rp is None, o[0] == "?" and ro is None)
+            if free == (False, False, True):  # the probe form binds its object alone
+                slots[o] = len(slots)
+            else:
+                for name, var in zip((s, p, o), free):
+                    if var and name not in slots:
+                        slots[name] = len(slots)
+            next_rows: list[tuple[tuple[str, ...], int]] = []
+            append = next_rows.append
+            for row, reach in rows:
+                key = (s if rs is None else row[rs], p if rp is None else row[rp],
+                       o if ro is None else row[ro], free)
+                probe = probes.get(key)
+                if probe is None:
+                    probe = probes[key] = [*_probe_matches(store, seen_by, *key), 0]
+                probe[2] |= reach
+                for values, mask in probe[1]:
+                    append((row + values, reach & mask))
+            rows = next_rows
+            if not rows:
+                break
+        # a binding is its row's values: literal/resource twins share one
+        bindings: dict[tuple[str, ...], int] = {}
+        value = slots.get(term)  # the filtered term's slot, None when constant
         for row, reach in rows:
-            key = (s if rs is None else row[rs], p if rp is None else row[rp],
-                   o if ro is None else row[ro], free)
-            probe = probes.get(key)
-            if probe is None:
-                probe = probes[key] = [*_probe_matches(store, seen_by, *key), 0]
-            probe[2] |= reach
-            for values, mask in probe[1]:
-                append((row + values, reach & mask))
-        rows = next_rows
-        if not rows:
-            break
-    # a binding is its row's values: literal/resource twins share one
-    bindings: dict[tuple[str, ...], int] = {}
-    value = slots.get(term)  # the filtered term's slot, None when constant
-    for row, reach in rows:
-        if f is None or _in_range(f, term if value is None else row[value]):
-            bindings[row] = bindings.get(row, 0) | reach
-    # candidates counted once per probe reach, then by position mask
-    by_reach: dict[int, list[Sequence[int]]] = {}
-    for candidates, _, reach in probes.values():
-        by_reach.setdefault(reach, []).append(candidates)
-    counts = {
-        reach: Counter([seen_by[pos] for candidates in lists for pos in candidates])
-        for reach, lists in by_reach.items()
-    }
-    served = {mask for _, matches, _ in probes.values() for _, mask in matches}
-    # when no node is left, as for most queries on a spread layout, the rest
-    # of the bindings need not be read
-    everywhere = -1
-    for reach in bindings.values():
-        everywhere &= reach
-        if not everywhere:
-            break
-    return slots, bindings, everywhere, counts, served
-
-
-def _evaluate(
-    store: TripleStore, plan: PartitionPlan, q: QueryPattern, homes: Sequence[int]
-) -> tuple[Mapping[str, int], Iterable[Sequence[str]], list[QueryOutcome]]:
-    """The slots and rows of ``q``'s cluster-wide bindings, as ``_propagate_eval``
-    returns them, and its cost from each of ``homes``, node ids the caller checked.
-
-    A home's own pass over its visible triples is the cluster pass restricted
-    to them, so it is read from the one pass: the home scans the visible
-    candidates of the probes sent by rows within its reach. When every
-    binding has such a row the query is local and costs that scan alone.
-    Otherwise every node whose data served a match is counted, and the
-    cluster candidates the home cannot see are added to the cost.
-    """
-    slots, rows, everywhere, counts, served_masks = _propagate_eval(store, q, plan)
+            if f is None or _in_range(f, term if value is None else row[value]):
+                bindings[row] = bindings.get(row, 0) | reach
+        rows = bindings
+        # candidates counted once per probe reach, then by position mask
+        by_reach: dict[int, list[Sequence[int]]] = {}
+        for candidates, _, reach in probes.values():
+            by_reach.setdefault(reach, []).append(candidates)
+        counts = {
+            reach: Counter([seen_by[pos] for candidates in lists for pos in candidates])
+            for reach, lists in by_reach.items()
+        }
+        served = {mask for _, matches, _ in probes.values() for _, mask in matches}
+        # when no node is left, as for most queries on a spread layout, the rest
+        # of the bindings need not be read
+        everywhere = -1
+        for reach in bindings.values():
+            everywhere &= reach
+            if not everywhere:
+                break
     outcomes = []
     for home in homes:
         bit = 1 << home
@@ -454,7 +448,7 @@ def _evaluate(
         if locally_answered:
             nodes_touched = 1
         else:  # a position the home cannot see is unreplicated: one bit, its owner's
-            nodes_touched = len({home if mask & bit else mask.bit_length() - 1 for mask in served_masks})
+            nodes_touched = len({home if mask & bit else mask.bit_length() - 1 for mask in served})
             scanned += remote
         outcomes.append(QueryOutcome(home, nodes_touched, locally_answered, scanned))
     return slots, rows, outcomes

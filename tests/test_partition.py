@@ -8,7 +8,7 @@ from tripleshard.layout import StageTimer
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.store import Triple, TripleStore
 
-from _helpers import brute_force_fragments, brute_force_top_subjects, random_store
+from _helpers import brute_force_fragments, brute_force_top_subjects, count_ops, random_store
 
 
 def _store(*rows):
@@ -175,6 +175,44 @@ def test_growth_is_deterministic():
     b = grow_fragments(store, masters)
     assert a.fragment_of == b.fragment_of
     assert a.orphan_count == b.orphan_count
+
+
+def _masters_of(store, k):
+    """Each subject's fragment master under k masters."""
+    result = grow_fragments(store, top_subjects(store, k))
+    return {s: result.fragments[result.fragment_of[positions[0]]].master_subject
+            for s, positions in store.subject_index.items()}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP known defect: the layout and the workload depend on line order, "
+           "and growth can be quadratic",
+)
+def test_growth_work_per_triple_is_flat_on_a_chain_listed_against_its_direction():
+    """Subject cN links to c(N+1) and holds one literal. Listed last link
+    first, each round of today's growth absorbs one subject group, so its
+    opcodes per triple grow with the chain; listed forward they are flat."""
+    per_triple = []
+    for links in (100, 200, 400):
+        triples = [Triple(f"c{links:05d}", "value", str(links), True)]
+        for n in reversed(range(links)):
+            triples += [Triple(f"c{n:05d}", "value", str(n), True),
+                        Triple(f"c{n:05d}", "next", f"c{n + 1:05d}")]
+        store = TripleStore(triples)
+        per_triple.append(count_ops(grow_fragments, store, ["c00000"]) / store.n)
+    assert all(abs(x - per_triple[0]) <= 0.1 * per_triple[0] for x in per_triple), per_triple
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP known defect: the layout and the workload depend on line order, "
+           "and growth can be quadratic",
+)
+def test_growth_gives_the_same_masters_whatever_the_line_order():
+    store = generate_sensor_graph(7, 50, 60)
+    reversed_store = TripleStore(store.triples[::-1])
+    assert _masters_of(reversed_store, 5) == _masters_of(store, 5)
 
 
 def test_ranking_runtime_grows_linearly():

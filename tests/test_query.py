@@ -758,24 +758,37 @@ def test_range_summary_follows_the_store_and_the_plan():
 
 
 def test_one_cluster_pass_per_query_whatever_the_node_count(monkeypatch):
-    calls = []
+    """One ``_evaluate`` call per query, and inside it one probe per lookup
+    whatever the node count: a pass per home would multiply the probes by m."""
+    calls, probes = [], []
 
     def counted(*args):
-        calls.append(args[1])
-        return propagate(*args)
+        calls.append(args[2])
+        probes.append(0)
+        return evaluate(*args)
 
-    propagate = query_module._propagate_eval
-    monkeypatch.setattr(query_module, "_propagate_eval", counted)
+    def probe(*args):
+        probes[-1] += 1
+        return match(*args)
+
+    evaluate, match = query_module._evaluate, query_module._probe_matches
+    monkeypatch.setattr(query_module, "_evaluate", counted)
+    monkeypatch.setattr(query_module, "_probe_matches", probe)
     store = generate_sensor_graph(19, 6, 8)
     workload = generate_workload(store, 6)
+    per_query = []
     for m in (1, 2, 4):
         plan = round_robin_triple_plan(store, m)
         calls.clear()
+        probes.clear()
         inc_report(store, plan, workload, policy="best")
         assert calls == workload
+        per_query.append(list(probes))
         calls.clear()
         evaluate_distributed(store, plan, workload[0], m - 1)
         assert calls == workload[:1]
+    assert sum(per_query[0]) > len(workload)
+    assert per_query[0] == per_query[1] == per_query[2]
 
 
 def test_query_work_grows_linearly_with_the_fan_out():
@@ -920,7 +933,7 @@ def _forbid_evaluation(monkeypatch):
     def fail(*args):
         raise AssertionError("query evaluated before its home node was checked")
 
-    monkeypatch.setattr(query_module, "_propagate_eval", fail)
+    monkeypatch.setattr(query_module, "_evaluate", fail)
 
 
 def test_inc_report_validates_inputs(monkeypatch):
