@@ -1,7 +1,7 @@
 """Semantic-aware triple partitioning, balanced placement, partial replication,
 and a distributed-query cost simulator."""
 
-from .allocate import allocate
+from .allocate import Allocation, allocate
 from .generator import generate_sensor_graph
 from .layout import Layout, build_layout
 from .partition import Fragment, PartitionResult, grow_fragments, top_subjects

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .store import TripleStore, _integer
+from .store import TripleStore, _integer, _list
 
 
 def top_subjects(store: TripleStore, k: int) -> list[str]:
@@ -52,7 +52,7 @@ def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
     until a full pass assigns nothing. Remaining groups are orphans: each is
     assigned, in order, to the smallest fragment at that moment.
     """
-    if not masters:
+    if not (masters := _list(masters, "masters")):
         raise ValueError("at least one master subject is required")
     if len(set(masters)) != len(masters):
         raise ValueError("master subjects must be distinct")

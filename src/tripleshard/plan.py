@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import operator
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, islice
-from typing import Sequence
 
+from .allocate import Allocation
 from .partition import PartitionResult
 from .store import TripleStore, _entries, _integer, _list
 
@@ -124,31 +125,27 @@ class PartitionPlan:
     def validate(self, store: TripleStore) -> None:
         """Raise PlanError unless the plan covers as many triples as the
         store holds; the rest was checked when the plan was built."""
-        if len(self.fragment_of) != store.n:
-            raise PlanError(f"fragment_of covers {len(self.fragment_of)} of {store.n} triples")
+        _check_coverage(self, store)
 
 
-def build_plan(
-    partition: PartitionResult, allocation: Sequence[Sequence[int]]
-) -> PartitionPlan:
-    """Combine a partition and the fragment ids of each node (as ``allocate``
-    returns them) into a plan with nothing replicated. A fragment id outside
-    the partition, one that two nodes (or one node twice) list, or a fragment
-    that no node lists raises PlanError."""
-    k = len(partition.fragments)
-    node_of_fragment: list[int | None] = [None] * k
-    for node_id, fragment_ids in enumerate(_list(allocation, "allocation", error=PlanError)):
-        for j, fid in enumerate(_list(fragment_ids, f"allocation[{node_id}]", error=PlanError)):
-            _integer(fid, f"allocation[{node_id}][{j}]", 0, k - 1, error=PlanError)
-            if node_of_fragment[fid] is not None:
-                raise PlanError(
-                    f"fragment {fid} is placed twice: on node {node_of_fragment[fid]} "
-                    f"and on node {node_id}"
-                )
-            node_of_fragment[fid] = node_id
-    if None in node_of_fragment:
-        raise PlanError(f"fragment {node_of_fragment.index(None)} is on no node")
-    return PartitionPlan(partition.fragment_of, node_of_fragment, len(allocation))
+def _check_coverage(plan: PartitionPlan, store: TripleStore) -> None:
+    """Raise PlanError unless ``plan`` covers as many triples as ``store`` holds."""
+    if len(plan.fragment_of) != store.n:
+        raise PlanError(f"fragment_of covers {len(plan.fragment_of)} of {store.n} triples")
+
+
+def build_plan(partition: PartitionResult, allocation: Allocation) -> PartitionPlan:
+    """Combine a partition and the node of each of its fragments (as
+    ``allocate`` returns them) into a plan with nothing replicated. A value
+    that is not an ``Allocation``, or one that places another number of
+    fragments than the partition holds, raises PlanError."""
+    if not isinstance(allocation, Allocation):
+        raise PlanError(f"allocation must be an Allocation, got {reprlib.repr(allocation)}")
+    placed = _list(allocation.node_of_fragment, "node_of_fragment", error=PlanError)
+    if len(placed) != len(partition.fragments):
+        raise PlanError(f"allocation places {len(placed)} fragments, the partition holds "
+                        f"{len(partition.fragments)}")
+    return PartitionPlan(partition.fragment_of, *allocation)
 
 
 def round_robin_triple_plan(store: TripleStore, m: int) -> PartitionPlan:

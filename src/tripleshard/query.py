@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .plan import PartitionPlan
+from .plan import PartitionPlan, _check_coverage
 from .store import TripleStore, _entries, _integer, _list, _number
 
 SHAPES = ("linear", "star", "range", "snowflake")
@@ -462,8 +462,10 @@ def evaluate_distributed(
     Returned bindings are always the cluster-wide (reference-equal) bindings,
     named here, the one place the pass's rows are named: each row becomes
     its variables' ``(name, value)`` pairs in name order, and with no
-    variable, the empty binding.
+    variable, the empty binding. A plan that does not cover the store raises
+    PlanError, as ``PartitionPlan.validate`` does.
     """
+    _check_coverage(plan, store)
     _integer(home_node, "home_node", 0, plan.m - 1)
     slots, rows, (outcome,) = _evaluate(store, plan, q, (home_node,))
     named = [(name, slots[name]) for name in sorted(slots)]
@@ -659,11 +661,13 @@ def inc_report(
     ``policy`` is "best" or a node id. "best" routes each query to the node
     needing the fewest touches (how a subject-aware router behaves); a node
     id sends every query there. Each query runs one cluster-wide pass, and
-    every candidate home's cost is read from it.
+    every candidate home's cost is read from it. The workload must be a list,
+    which the report keeps as a tuple, and a plan that does not cover the
+    store raises PlanError before any query runs.
     """
-    if not workload:
+    if not (workload := _list(workload, "workload")):
         raise ValueError("workload must contain at least one query")
-
+    _check_coverage(plan, store)
     homes = range(plan.m) if policy == "best" else (_integer(policy, "policy", 0, plan.m - 1),)
     return IncReport(workload, [
         min(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from .plan import PartitionPlan
-from .store import TripleStore, _number
+from .store import TripleStore, _list, _number
 
 
 @dataclass
@@ -66,6 +66,7 @@ def derive_threshold(
     subjects' triples (ties to the lexicographically smallest predicate),
     unless an explicit override is given.
     """
+    top = _list(top, "top")
     if override is not None:
         return _check_threshold(override)
     if not top:

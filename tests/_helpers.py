@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import sys
 
-from tripleshard.allocate import allocate
+from tripleshard.allocate import Allocation, allocate
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.plan import PartitionPlan, build_plan
 from tripleshard.query import QueryOutcome, QueryPattern
@@ -145,6 +145,14 @@ def brute_force_centrality(store: TripleStore) -> dict[str, tuple[float, int, in
         p: (len(subjects) / edges, len(subjects), edges)
         for p, (subjects, edges) in acc.items()
     }
+
+
+def allocation_loads(sizes: list[int], allocation: Allocation) -> list[int]:
+    """Reference loads: per node, the sizes of the fragments placed on it."""
+    return [
+        sum(size for size, node in zip(sizes, allocation.node_of_fragment) if node == node_id)
+        for node_id in range(allocation.m)
+    ]
 
 
 def round_robin_loads(sizes: list[int], m: int) -> list[int]:

@@ -28,6 +28,7 @@ from tripleshard.replicate import compute_centrality, derive_threshold, replicat
 from tripleshard.store import TripleStore
 
 from _helpers import (
+    allocation_loads,
     brute_force_centrality,
     brute_force_top_subjects,
     grown_plan,
@@ -96,7 +97,7 @@ def test_criterion_3_allocation_balance(partition_runs):
     for store, result in runs:
         sizes = [f.size for f in result.fragments]
         m = rng.randint(2, 6)
-        loads = [sum(sizes[fid] for fid in node) for node in allocate(sizes, m)]
+        loads = allocation_loads(sizes, allocate(sizes, m))
         assert max(loads) - min(loads) <= max(sizes), "spread exceeds largest fragment"
         greedy_max = max(loads)
         rr_max = max(round_robin_loads(sizes, m))

@@ -2,30 +2,27 @@ import random
 
 import pytest
 
-from tripleshard.allocate import allocate
+from tripleshard.allocate import Allocation, allocate
 
-from _helpers import round_robin_loads
-
-
-def _loads(sizes, nodes):
-    return [sum(sizes[fid] for fid in fragment_ids) for fragment_ids in nodes]
+from _helpers import allocation_loads, round_robin_loads
 
 
 def test_worked_example_two_nodes():
-    nodes = allocate([10, 7, 5, 3], 2)
-    assert nodes == ((0, 3), (1, 2))
-    assert _loads([10, 7, 5, 3], nodes) == [13, 12]
+    allocation = allocate([10, 7, 5, 3], 2)
+    assert allocation == Allocation((0, 1, 1, 0), 2)
+    assert allocation_loads([10, 7, 5, 3], allocation) == [13, 12]
 
 
 def test_single_node_takes_everything():
-    nodes = allocate([4, 1, 2], 1)
-    assert nodes == ((0, 2, 1),)
-    assert _loads([4, 1, 2], nodes) == [7]
+    allocation = allocate([4, 1, 2], 1)
+    assert allocation == Allocation((0, 0, 0), 1)
+    assert allocation_loads([4, 1, 2], allocation) == [7]
 
 
 def test_more_nodes_than_fragments_leaves_empty_nodes():
-    nodes = allocate([4, 2], 4)
-    assert _loads([4, 2], nodes) == [4, 2, 0, 0]
+    allocation = allocate([4, 2], 4)
+    assert allocation == Allocation((0, 1), 4)
+    assert allocation_loads([4, 2], allocation) == [4, 2, 0, 0]
 
 
 def test_zero_nodes_rejected():
@@ -39,7 +36,7 @@ def test_negative_size_rejected():
 
 
 def test_equal_sizes_tie_break_is_stable():
-    assert allocate([5, 5, 5], 2) == ((0, 2), (1,))
+    assert allocate([5, 5, 5], 2) == Allocation((0, 1, 0), 2)
 
 
 def test_every_fragment_assigned_exactly_once():
@@ -47,10 +44,10 @@ def test_every_fragment_assigned_exactly_once():
     for _ in range(50):
         sizes = [rng.randint(0, 500) for _ in range(rng.randint(1, 40))]
         m = rng.randint(1, 8)
-        nodes = allocate(sizes, m)
-        assert len(nodes) == m
-        assigned = [fid for fragment_ids in nodes for fid in fragment_ids]
-        assert sorted(assigned) == list(range(len(sizes)))
+        node_of_fragment, nodes = allocate(sizes, m)
+        assert nodes == m
+        assert len(node_of_fragment) == len(sizes)
+        assert all(node in range(m) for node in node_of_fragment)
 
 
 def test_spread_bounded_by_largest_fragment():
@@ -58,7 +55,7 @@ def test_spread_bounded_by_largest_fragment():
     for _ in range(200):
         sizes = [rng.randint(1, 1000) for _ in range(rng.randint(1, 30))]
         m = rng.randint(1, 6)
-        loads = _loads(sizes, allocate(sizes, m))
+        loads = allocation_loads(sizes, allocate(sizes, m))
         assert max(loads) - min(loads) <= max(sizes)
 
 
@@ -69,7 +66,7 @@ def test_greedy_not_worse_than_round_robin():
     for _ in range(trials):
         sizes = [rng.randint(1, 1000) for _ in range(rng.randint(2, 30))]
         m = rng.randint(2, 6)
-        greedy_max = max(_loads(sizes, allocate(sizes, m)))
+        greedy_max = max(allocation_loads(sizes, allocate(sizes, m)))
         rr_max = max(round_robin_loads(sizes, m))
         if greedy_max <= rr_max:
             better_or_equal += 1

@@ -3,7 +3,7 @@ in one wording, in the entry point's own error class."""
 
 import pytest
 
-from tripleshard.allocate import allocate
+from tripleshard.allocate import Allocation, allocate
 from tripleshard.cli import PipelineConfig, run_scaling
 from tripleshard.generator import generate_sensor_graph
 from tripleshard.layout import build_layout
@@ -28,7 +28,7 @@ ENTRY_POINTS = [
     ("build_layout-k", lambda v: build_layout(STORE, v, 2), "k", 1, None, ValueError),
     ("build_layout-m", lambda v: build_layout(STORE, 2, v), "m", 1, None, ValueError),
     ("PartitionPlan", lambda v: PartitionPlan((0,), (0,), v), "m", 1, None, PlanError),
-    ("build_plan", lambda v: build_plan(PARTITION, ((0, v), (1,))), "allocation[0][1]", 0, 2, PlanError),
+    ("build_plan", lambda v: build_plan(PARTITION, Allocation((0, 1, 0), v)), "m", 1, None, PlanError),
     ("generate_sensor_graph-sensors", lambda v: generate_sensor_graph(1, v, 3),
      "sensors", 0, None, ValueError),
     ("generate_sensor_graph-observations", lambda v: generate_sensor_graph(1, 2, v),

@@ -3,15 +3,19 @@ rule each, in one wording, in the entry point's own error class."""
 
 import json
 import math
+import reprlib
 
 import pytest
 
+from tripleshard.allocate import Allocation, allocate
 from tripleshard.cli import PipelineConfig, run_scaling
 from tripleshard.generator import generate_sensor_graph
 from tripleshard.layout import build_layout
 from tripleshard.partition import grow_fragments, top_subjects
 from tripleshard.plan import PartitionPlan, PlanError, build_plan
-from tripleshard.query import QueryPattern, RangeFilter, generate_workload, query_from_dict, workload_from_json
+from tripleshard.query import (
+    QueryPattern, RangeFilter, generate_workload, inc_report, query_from_dict, workload_from_json,
+)
 from tripleshard.replicate import derive_threshold, replicate
 from tripleshard.store import CsvMapping, IngestError
 
@@ -39,8 +43,7 @@ LISTS = [
     ("PartitionPlan-fragment_of", lambda v: PartitionPlan(v, (0,), 1), "fragment_of", PlanError),
     ("PartitionPlan-node_of_fragment", lambda v: PartitionPlan((0,), v, 1), "node_of_fragment", PlanError),
     ("PartitionPlan-replicated", lambda v: PartitionPlan((0,), (0,), 1, v), "replicated", PlanError),
-    ("build_plan", lambda v: build_plan(PARTITION, v), "allocation", PlanError),
-    ("build_plan-node", lambda v: build_plan(PARTITION, ((0, 1, 2), v)), "allocation[1]", PlanError),
+    ("build_plan", lambda v: build_plan(PARTITION, Allocation(v, 2)), "node_of_fragment", PlanError),
     ("run_scaling", lambda v: run_scaling(SCALED, v), "scales", ValueError),
     ("generate_workload", lambda v: generate_workload(STORE, 1, v), "counts", ValueError),
     ("PipelineConfig-workload_counts", lambda v: PipelineConfig(workload_counts=v), "workload_counts", ValueError),
@@ -49,7 +52,13 @@ LISTS = [
     ("workload_from_json", lambda v: workload_from_json(json.dumps(v)), "workload JSON", ValueError),
     ("CsvMapping-properties", lambda v: CsvMapping("id", v), "csv_mapping 'properties'", IngestError),
     ("CsvMapping-pair", lambda v: CsvMapping("id", [("p", "c"), v]), "csv_mapping 'properties'[1]", IngestError),
+    ("grow_fragments", lambda v: grow_fragments(STORE, v), "masters", ValueError),
+    ("allocate", lambda v: allocate(v, 2), "sizes", ValueError),
+    ("derive_threshold-top", lambda v: derive_threshold(LAYOUT.table, STORE, v), "top", ValueError),
+    ("inc_report", lambda v: inc_report(STORE, LAYOUT.plan, v), "workload", ValueError),
 ]
+# entry points also tried with a set and an iterator, the values most likely passed for their list
+ITERABLE_ONCE = ("grow_fragments", "allocate", "derive_threshold-top", "inc_report")
 
 
 def _cases():
@@ -60,6 +69,10 @@ def _cases():
         for value in (5, "ab", None, {}):
             yield pytest.param(call, f"{name} must be a list, got {value!r}", error, value,
                                id=f"{entry}-{value!r}")
+        if entry in ITERABLE_ONCE:
+            for kind, value in (("set", set(MASTERS)), ("iterator", iter(MASTERS))):
+                yield pytest.param(call, f"{name} must be a list, got {reprlib.repr(value)}", error,
+                                   value, id=f"{entry}-{kind}")
 
 
 @pytest.mark.parametrize("call, message, error, value", _cases())

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from tripleshard.allocate import Allocation
 from tripleshard.generator import generate_sensor_graph
 from tripleshard.layout import build_layout
 from tripleshard.partition import grow_fragments, top_subjects
@@ -78,27 +79,21 @@ def test_validate_rejects_unassigned_fragment():
         PartitionPlan.from_json(json.dumps(data))
 
 
-def test_build_plan_rejects_unassigned_fragment():
-    store = _store()
-    partition = grow_fragments(store, top_subjects(store, 3))
-    for allocation, fragment in (((0,), (1,)), 2), (((0, 1),), 2), ((), 0):
-        with pytest.raises(PlanError, match=f"^fragment {fragment} is on no node$"):
-            build_plan(partition, allocation)
-
-
 @pytest.mark.parametrize("allocation, message", [
-    pytest.param(((0, 1, 2), (2,)), r"fragment 2 is placed twice: on node 0 and on node 1",
-                 id="two-nodes"),
-    pytest.param(((0, 1, 1), (2,)), r"fragment 1 is placed twice: on node 0 and on node 0",
-                 id="one-node-twice"),
-    pytest.param(((0, 1), (-1,)), r"^allocation\[1\]\[0\] must be an integer in 0\.\.2, got -1$",
-                 id="negative"),
-    pytest.param(((0, 1), (3,)), r"^allocation\[1\]\[0\] must be an integer in 0\.\.2, got 3$",
-                 id="past-the-end"),
-    pytest.param(((0, True), (2,)), r"^allocation\[0\]\[1\] must be an integer in 0\.\.2, got True$",
+    pytest.param(((0, 1), (2,)), r"^allocation must be an Allocation, got \(\(0, 1\), \(2,\)\)$",
+                 id="per-node-lists"),
+    pytest.param(((0, 1, 0), 2), r"^allocation must be an Allocation, got \(\(0, 1, 0\), 2\)$",
+                 id="plain-tuple"),
+    pytest.param(Allocation((0, 1), 2), r"^allocation places 2 fragments, the partition holds 3$",
+                 id="too-few"),
+    pytest.param(Allocation((0, 1, 0, 1), 2), r"^allocation places 4 fragments, the partition holds 3$",
+                 id="too-many"),
+    pytest.param(Allocation((0, 1, 2), 2), r"^node_of_fragment must hold integers in 0\.\.1, below m$",
+                 id="past-the-last-node"),
+    pytest.param(Allocation((0, True, 1), 2), r"^node_of_fragment must hold integers in 0\.\.1, below m$",
                  id="bool"),
 ])
-def test_build_plan_rejects_a_fragment_placed_twice_or_out_of_range(allocation, message):
+def test_build_plan_rejects_what_is_not_an_allocation_of_the_partition(allocation, message):
     store = _store()
     partition = grow_fragments(store, top_subjects(store, 3))
     with pytest.raises(PlanError, match=message):

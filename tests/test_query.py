@@ -11,8 +11,9 @@ import pytest
 
 import tripleshard.query as query_module
 from tripleshard.generator import LINK_PREDICATE, MODEL_PREDICATE, generate_sensor_graph
+from tripleshard.layout import build_layout
 from tripleshard.partition import top_subjects
-from tripleshard.plan import PartitionPlan, round_robin_triple_plan
+from tripleshard.plan import PartitionPlan, PlanError, round_robin_triple_plan
 from tripleshard.query import (
     DEFAULT_WORKLOAD_COUNTS,
     HOP_PENALTY,
@@ -949,6 +950,15 @@ def test_inc_report_validates_inputs(monkeypatch):
             inc_report(store, plan, [CHAIN], policy=bad)
 
 
+def test_the_report_keeps_the_workload_it_answered():
+    store = generate_sensor_graph(7, 6, 8)
+    workload = generate_workload(store, 1)
+    report = inc_report(store, grown_plan(store, 3, 3), workload)
+    answered = inc_report_csv(report), report.mean_joins
+    workload.clear()
+    assert (inc_report_csv(report), report.mean_joins) == answered
+
+
 def test_home_node_bounds_checked(monkeypatch):
     store = _store(("a", "p", "b"))
     plan = grown_plan(store, 1, 2)
@@ -956,6 +966,23 @@ def test_home_node_bounds_checked(monkeypatch):
     for bad in (5, plan.m, -1, True, 1.0):
         with pytest.raises(ValueError):
             evaluate_distributed(store, plan, CHAIN, home_node=bad)
+
+
+@pytest.mark.parametrize("plan_sensors, store_sensors, message", [
+    pytest.param(8, 6, "fragment_of covers 298 of 231 triples", id="plan-of-a-larger-store"),
+    pytest.param(6, 8, "fragment_of covers 231 of 298 triples", id="plan-of-a-smaller-store"),
+])
+def test_query_path_rejects_a_plan_that_does_not_cover_the_store(
+    monkeypatch, plan_sensors, store_sensors, message
+):
+    plan = build_layout(generate_sensor_graph(7, plan_sensors, 8), 3, 3).plan
+    store = generate_sensor_graph(7, store_sensors, 8)
+    workload = generate_workload(store, 1)
+    _forbid_evaluation(monkeypatch)
+    for call in (lambda: inc_report(store, plan, workload),
+                 lambda: evaluate_distributed(store, plan, workload[0], 0)):
+        with pytest.raises(PlanError, match=f"^{message}$"):
+            call()
 
 
 # --- workload generation ----------------------------------------------------
