@@ -1,12 +1,12 @@
 """Fragment construction: degree-ranked seeding plus closeness-driven growth.
 
 Partitioning happens in two steps. First the k highest out-degree subjects
-are selected as fragment masters. Then every fragment starts from its
-master's subject group and grows by repeatedly pulling in whole subject
-groups that the fragment already points at: a pending group scores, against
-each fragment, the number of the fragment's subject links
-(``TripleStore.subject_links``) into it, and joins the best-scoring fragment.
-Groups that never score anywhere fall back to the currently smallest fragment.
+are selected as fragment masters. Then each fragment starts from its master's
+subject group and grows by pulling in whole subject groups it points at: a
+pending group scores, against each fragment, the number of the fragment's
+subject links (``TripleStore.subject_links``) into it, and joins the best.
+Sweeps repeat while a pending group has a reference; groups that never score
+fall back to the currently smallest fragment.
 
 Moving whole subject groups keeps the subject-cohesion guarantee: all triples
 sharing a subject always land in the same fragment.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .store import TripleStore, _integer, _list
+from .store import TripleStore, _integer, _subjects
 
 
 def top_subjects(store: TripleStore, k: int) -> list[str]:
@@ -49,17 +49,10 @@ def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
     order). A group joins the fragment with the most ``TripleStore.subject_links``
     into it, ties to the lowest fragment id, and the group's own links are
     counted immediately so later groups see the new members. Rounds repeat
-    until a full pass assigns nothing. Remaining groups are orphans: each is
-    assigned, in order, to the smallest fragment at that moment.
+    while a pending group has a reference. Remaining groups are orphans: each
+    is assigned, in order, to the smallest fragment at that moment.
     """
-    if not (masters := _list(masters, "masters")):
-        raise ValueError("at least one master subject is required")
-    if len(set(masters)) != len(masters):
-        raise ValueError("master subjects must be distinct")
-    for m in masters:
-        if m not in store.subject_index:
-            raise ValueError(f"master subject {m!r} has no triples in the store")
-
+    masters = _subjects(store, masters, "masters")
     triples, links = store.triples, store.subject_links()
     fragment_of = [0] * store.n
     sizes = [0] * len(masters)
@@ -82,15 +75,12 @@ def grow_fragments(store: TripleStore, masters: list[str]) -> PartitionResult:
     for fid, master in enumerate(masters):
         absorb(fid, master, store.subject_index[master])
 
-    progressed = True
-    while pending and progressed:
-        progressed = False
+    while references:
         for subject in list(pending):
             counts = references.pop(subject, None)
             if counts is not None:
                 best = min(counts, key=lambda fid: (-counts[fid], fid))
                 absorb(best, subject, pending.pop(subject))
-                progressed = True
 
     orphan_count = store.n - sum(sizes)  # the triples growth left unplaced
     for subject, group in pending.items():

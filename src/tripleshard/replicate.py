@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from .plan import PartitionPlan
-from .store import TripleStore, _list, _number
+from .store import TripleStore, _number, _subjects
 
 
 @dataclass
@@ -66,17 +66,13 @@ def derive_threshold(
     subjects' triples (ties to the lexicographically smallest predicate),
     unless an explicit override is given.
     """
-    top = _list(top, "top")
+    top = _subjects(store, top, "top")
     if override is not None:
         return _check_threshold(override)
-    if not top:
-        raise ValueError("cannot derive a threshold from an empty subject list")
     predicate_counts: Counter = Counter()
     for subject in top:
-        for pos in store.subject_index.get(subject, ()):
+        for pos in store.subject_index[subject]:
             predicate_counts[store.triples[pos].predicate] += 1
-    if not predicate_counts:
-        raise ValueError("top subjects have no triples; cannot derive a threshold")
     best = min(predicate_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
     return table.values[best]
 

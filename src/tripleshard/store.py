@@ -22,7 +22,7 @@ runs: other threads allocate without collections until it returns.
 plan, config, ``csv_mapping`` and workload files alike: a value that is not
 an object, a missing key and unknown keys each raise one wording.
 ``_integer`` is its one check of a count, size or node id, however it is set,
-``_number`` of a real number and ``_list`` of a list.
+``_number`` of a real number, ``_list`` of a list, ``_subjects`` of masters.
 """
 
 from __future__ import annotations
@@ -78,13 +78,12 @@ def _integer(value: object, name: str, low: int | None, high: int | None = None,
     return value
 
 
-def _number(value: object, name: str, interval: str = "", inside=None, *,
-            error: type[ValueError] = ValueError) -> float:
+def _number(value: object, name: str, interval: str = "", inside=None) -> float:
     """``value`` if it is an ``int`` or ``float`` (not a ``bool``), not NaN, and passes
-    ``inside``, the test of ``interval``, if given; else an ``error`` naming ``name``."""
+    ``inside``, the test of ``interval``, if given; else a ValueError naming ``name``."""
     if type(value) not in (int, float) or value != value or (inside is not None and not inside(value)):
         within = f" in {interval}" if interval else ""
-        raise error(f"{name} must be a number{within}, got {reprlib.repr(value)}")
+        raise ValueError(f"{name} must be a number{within}, got {reprlib.repr(value)}")
     return value
 
 
@@ -94,6 +93,21 @@ def _list(value: object, name: str, *, error: type[ValueError] = ValueError) -> 
     if not isinstance(value, (list, tuple)):
         raise error(f"{name} must be a list, got {reprlib.repr(value)}")
     return tuple(value)
+
+
+def _subjects(store: TripleStore, value: object, name: str) -> tuple:
+    """``value`` as a tuple if it is a non-empty list of distinct subjects of
+    ``store``, else a ValueError naming ``name`` or its first bad entry."""
+    subjects, seen = _list(value, name), set()
+    if not subjects:
+        raise ValueError(f"{name} must hold at least one subject, got {reprlib.repr(value)}")
+    for i, subject in enumerate(subjects):
+        if not isinstance(subject, str) or subject not in store.subject_index:
+            raise ValueError(f"{name}[{i}] must be a subject of the store, got {reprlib.repr(subject)}")
+        if subject in seen:
+            raise ValueError(f"{name}[{i}] repeats an earlier subject, got {reprlib.repr(subject)}")
+        seen.add(subject)
+    return subjects
 
 
 class paused_collector:

@@ -355,6 +355,19 @@ def test_a_long_workload_value_makes_a_short_error_line(tmp_path, capsys):
     assert err.startswith("error: query 0: query 'patterns' must be a list, got 'xxx"), err
 
 
+def test_a_bad_workload_file_is_reported_before_a_plan_of_another_store(tmp_path, capsys):
+    evaluate = _evaluate_args(tmp_path)
+    evaluate[evaluate.index("--sensors") + 1] = "8"  # a larger store than the plan's
+    workload = tmp_path / "workload.json"
+    workload.write_text(json.dumps([{"type": "star", "patterns": "x"}]))
+    capsys.readouterr()
+    assert main([*evaluate, "--workload", str(workload)]) == 2
+    assert capsys.readouterr().err == "error: query 0: query 'patterns' must be a list, got 'x'\n"
+    # the generated workload reaches the plan's one coverage check
+    assert main(evaluate) == 2
+    assert capsys.readouterr().err == "error: fragment_of covers 249 of 294 triples\n"
+
+
 @pytest.mark.parametrize("entries, expected", [
     ({"sensors": list(range(200_000))},
      "sensors must be an integer of at least 0, got [0, 1, 2, 3, 4, 5, ...]"),

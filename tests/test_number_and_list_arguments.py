@@ -1,5 +1,6 @@
-"""Every real number and every list an entry point takes is checked by one
-rule each, in one wording, in the entry point's own error class."""
+"""Every real number, every list and every list of master subjects an entry
+point takes is checked by one rule each, in one wording, in the entry point's
+own error class."""
 
 import json
 import math
@@ -60,6 +61,21 @@ LISTS = [
 # entry points also tried with a set and an iterator, the values most likely passed for their list
 ITERABLE_ONCE = ("grow_fragments", "allocate", "derive_threshold-top", "inc_report")
 
+# (entry point, the call with the value in the list's place, the list's name)
+SUBJECT_LISTS = [
+    ("grow_fragments", lambda v: grow_fragments(STORE, v), "masters"),
+    ("derive_threshold", lambda v: derive_threshold(LAYOUT.table, STORE, v), "top"),
+    ("derive_threshold-override", lambda v: derive_threshold(LAYOUT.table, STORE, v, override=0.5), "top"),
+]
+# (case, value, the message after the list's name, VALUE abridged)
+SUBJECT_VALUES = [
+    ("empty", [], " must hold at least one subject, got []"),
+    ("list-entry", [["a"]], "[0] must be a subject of the store, got ['a']"),
+    ("int-entry", [5], "[0] must be a subject of the store, got 5"),
+    ("ghost", MASTERS + ["ghost"], "[3] must be a subject of the store, got 'ghost'"),
+    ("repeat", MASTERS + MASTERS[:1], f"[3] repeats an earlier subject, got {reprlib.repr(MASTERS[0])}"),
+]
+
 
 def _cases():
     for entry, call, head, error, extra in NUMBERS:
@@ -82,3 +98,11 @@ def test_a_number_or_list_argument_is_checked_in_one_wording(call, message, erro
     assert type(exc.value) is error
     assert str(exc.value) == message
 
+
+@pytest.mark.parametrize("call, name", [pytest.param(c, n, id=e) for e, c, n in SUBJECT_LISTS])
+@pytest.mark.parametrize("value, tail", [pytest.param(v, t, id=c) for c, v, t in SUBJECT_VALUES])
+def test_a_subject_list_is_checked_in_one_wording(call, name, value, tail):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == name + tail

@@ -116,11 +116,11 @@ def test_rounds_reach_chains_listed_in_reverse_order():
 
 def test_master_validation():
     store = _store(("a", "p", "x"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^masters must hold at least one subject, got \[\]$"):
         grow_fragments(store, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^masters\[1\] repeats an earlier subject, got 'a'$"):
         grow_fragments(store, ["a", "a"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^masters\[0\] must be a subject of the store, got 'ghost'$"):
         grow_fragments(store, ["ghost"])
 
 

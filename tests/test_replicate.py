@@ -95,10 +95,10 @@ def test_threshold_tie_breaks_to_smallest_predicate_name():
 def test_threshold_needs_top_subjects_with_triples():
     store = _store(("a", "p", "x"))
     table = compute_centrality(store)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^top must hold at least one subject, got \[\]$"):
         derive_threshold(table, store, [])
-    with pytest.raises(ValueError):
-        derive_threshold(table, store, ["ghost"])
+    with pytest.raises(ValueError, match=r"^top\[1\] must be a subject of the store, got 'ghost'$"):
+        derive_threshold(table, store, ["a", "ghost"])
 
 
 # --- replica placement -----------------------------------------------------
